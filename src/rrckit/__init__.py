@@ -22,6 +22,7 @@ from .embedding import (
     eth_map,
     feature_dim,
     kron_power,
+    monomial_features,
     suggest_lag,
 )
 from .errors import (
@@ -48,11 +49,9 @@ from .finance import (
 from .linalg import (
     SolverConfig,
     SparseSolution,
-    SVDFactors,
     heaviside_delta,
     rank_delta,
     sparse_lstsq,
-    truncated_projector,
 )
 from .model import (
     RRCModel,

@@ -69,8 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epsilon", type=float, default=1e-8)
     tr.add_argument("--max-iter", type=int, default=50)
     tr.add_argument("--train-frac", type=float, default=1.0)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--nu", type=float, default=1.0)
+    provenance = "compression-probe {}, recorded in the model file; does not affect the fit"
+    tr.add_argument("--seed", type=int, default=0, help=provenance.format("seed (>= 0)"))
+    tr.add_argument("--nu", type=float, default=1.0, help=provenance.format("scale (> 0)"))
     tr.add_argument("--out", required=True)
 
     fc = sub.add_parser("forecast", help="roll a trained model forward")

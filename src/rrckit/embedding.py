@@ -4,13 +4,15 @@ A length-L window of an n-channel series is flattened block by block
 (channel-major, oldest sample first within each block) and expanded into the
 stack of its Kronecker powers of orders 1..p plus a trailing constant 1.
 Stacking those feature vectors over a whole series yields the data matrices
-that model identification consumes.
+of the paper; model identification evaluates only the distinct monomials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -25,6 +27,8 @@ __all__ = [
     "delay_embed",
     "kron_power",
     "eth_map",
+    "monomial_features",
+    "paired_windows",
     "build_data_matrices",
     "autocorrelation",
     "suggest_lag",
@@ -164,6 +168,38 @@ def eth_map(x: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET) -> np.n
     return np.concatenate(parts)
 
 
+@lru_cache(maxsize=64)
+def _distinct_monomial_indices(m: int, q: int) -> np.ndarray:
+    """Ascending multi-indices in combinations_with_replacement order: the
+    first slot of each group of equal rows of :func:`_sorted_monomial_indices`."""
+    idx = np.array(list(combinations_with_replacement(range(m), q)), dtype=np.intp)
+    idx.setflags(write=False)
+    return idx
+
+
+def _stacked_products(X: np.ndarray, table, p: int) -> np.ndarray:
+    """Products of X over each multi-index of table(m, q), q = 1..p, then a constant 1."""
+    parts = [np.prod(X[table(X.shape[0], q)], axis=1) for q in range(1, p + 1)]
+    parts.append(np.ones((1,) + X.shape[1:]))
+    return np.concatenate(parts)
+
+
+def monomial_features(
+    X: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET
+) -> np.ndarray:
+    """Each distinct monomial of orders 1..p of a window once, then a constant 1.
+
+    X is one window (m,) or one window per column (m, cols). The C(m+p, p)
+    rows equal ``compress(compression_matrix_exact(n, L, p), H0)`` bit for bit,
+    H0 the Kronecker features of the same windows. Raises FeatureBudgetError
+    if C(m+p, p) times the number of windows exceeds ``budget``.
+    """
+    X = np.asarray(X, dtype=float)
+    m = X.shape[0]
+    _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]), budget)
+    return _stacked_products(X, _distinct_monomial_indices, p)
+
+
 def delay_embed(series: TimeSeries, L: int, t: int) -> np.ndarray:
     """Length-nL window vector at end time t (1-based), channel-major.
 
@@ -195,6 +231,21 @@ def _window_matrix(values: np.ndarray, L: int) -> np.ndarray:
     return out
 
 
+def paired_windows(x: TimeSeries, y: TimeSeries, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Window matrices (nL, T - L + 1) of a series pair; column k ends at time L + k.
+
+    Raises DimensionMismatchError if the series differ in shape and
+    OutOfRangeError if they are shorter than L.
+    """
+    if x.T != y.T or x.n != y.n:
+        raise DimensionMismatchError(
+            f"series shapes differ: x is {x.T}x{x.n}, y is {y.T}x{y.n}"
+        )
+    if x.T < L:
+        raise OutOfRangeError(f"series of length {x.T} too short for L = {L}")
+    return _window_matrix(x.values, L), _window_matrix(y.values, L)
+
+
 def build_data_matrices(
     x: TimeSeries,
     y: TimeSeries,
@@ -207,26 +258,10 @@ def build_data_matrices(
     L + k; H1 column k is y's raw window at the same time. Both series must
     share their length and channel count.
     """
-    if x.T != y.T or x.n != y.n:
-        raise DimensionMismatchError(
-            f"series shapes differ: x is {x.T}x{x.n}, y is {y.T}x{y.n}"
-        )
-    if x.T < cfg.L:
-        raise OutOfRangeError(f"series of length {x.T} too short for L = {cfg.L}")
-    m = x.n * cfg.L
-    d = feature_dim(m, cfg.p)
-    cols = x.T - cfg.L + 1
-    _check_budget(d * cols, budget)
-
-    Xw = _window_matrix(x.values, cfg.L)  # (m, cols)
-    H1 = _window_matrix(y.values, cfg.L)
-    H0 = np.empty((d, cols))
-    row = 0
-    for q in range(1, cfg.p + 1):
-        idx = _sorted_monomial_indices(m, q)
-        H0[row : row + m**q, :] = np.prod(Xw[idx, :], axis=1)
-        row += m**q
-    H0[row, :] = 1.0
+    Xw, H1 = paired_windows(x, y, cfg.L)  # (m, cols) each
+    m, cols = Xw.shape
+    _check_budget(feature_dim(m, cfg.p) * cols, budget)
+    H0 = _stacked_products(Xw, _sorted_monomial_indices, cfg.p)
     return DataMatrices(H0=H0, H1=H1, t_range=(cfg.L, x.T))
 
 
@@ -259,10 +294,17 @@ def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     threshold = 1.0 / np.e
     lags = []
     for j in range(series.n):
-        acf = autocorrelation(series.values[:, j], series.T - 1)
-        if np.isnan(acf[0]):
-            lags.append(1)
-            continue
-        below = np.nonzero(acf[1:] < threshold)[0]
-        lags.append(int(below[0]) + 1 if below.size else series.T - 1)
+        # Lags are computed over a doubling prefix until the first crossing,
+        # each exactly as over the full range; no crossing reports T - 1.
+        max_lag = 1
+        while True:
+            acf = autocorrelation(series.values[:, j], max_lag)
+            if np.isnan(acf[0]):
+                lags.append(1)
+                break
+            below = np.nonzero(acf[1:] < threshold)[0]
+            if below.size or max_lag == series.T - 1:
+                lags.append(int(below[0]) + 1 if below.size else series.T - 1)
+                break
+            max_lag = min(2 * max_lag, series.T - 1)
     return lags, max(lags)

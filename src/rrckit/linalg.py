@@ -1,4 +1,4 @@
-"""Truncated-SVD rank, orthogonal projectors, and the greedy sparse least-squares solver.
+"""Truncated-SVD rank and the greedy sparse least-squares solver.
 
 Everything else in the toolkit reduces to the solver in this module: model
 identification solves (possibly rank-deficient) linear systems column by
@@ -15,33 +15,12 @@ import numpy as np
 from .errors import DimensionMismatchError, RankZeroError
 
 __all__ = [
-    "SVDFactors",
     "SolverConfig",
     "SparseSolution",
     "heaviside_delta",
     "rank_delta",
-    "truncated_projector",
     "sparse_lstsq",
 ]
-
-
-@dataclass(frozen=True)
-class SVDFactors:
-    """Economy-sized SVD of a real matrix A, stored so that U @ diag(S) @ V = A.
-
-    Attributes
-    ----------
-    U : (m, s) ndarray
-        Left singular vectors, orthonormal columns, s = min(m, n).
-    S : (s,) ndarray
-        Singular values, non-increasing and non-negative.
-    V : (s, n) ndarray
-        Right singular vectors, orthonormal rows.
-    """
-
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -91,6 +70,8 @@ class SparseSolution:
         (unprojected) system.
     rank : int
         Numerical rank of A at the configured threshold.
+    column_bounds : list of float
+        The residual certificate of each column (see :func:`sparse_lstsq`).
     """
 
     X: np.ndarray
@@ -98,6 +79,7 @@ class SparseSolution:
     iterations_per_column: list[int] = field(default_factory=list)
     residual_norms: list[float] = field(default_factory=list)
     rank: int = 0
+    column_bounds: list[float] = field(default_factory=list)
 
 
 def heaviside_delta(x: float, delta: float) -> int:
@@ -105,11 +87,6 @@ def heaviside_delta(x: float, delta: float) -> int:
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
     return 1 if x > delta else 0
-
-
-def _economy_svd(A: np.ndarray) -> SVDFactors:
-    U, S, V = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
-    return SVDFactors(U=U, S=S, V=V)
 
 
 def rank_delta(A: np.ndarray, delta: float) -> int:
@@ -122,36 +99,6 @@ def rank_delta(A: np.ndarray, delta: float) -> int:
         raise ValueError(f"delta must be > 0, got {delta}")
     S = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
     return int(np.sum(S > delta))
-
-
-def truncated_projector(
-    A: np.ndarray, delta: float
-) -> tuple[np.ndarray, int, SVDFactors]:
-    """Rank-r orthogonal projector onto the top left singular subspace of A.
-
-    r is the numerical rank at threshold delta and Q = sum_{j<=r} u_j u_j^T,
-    so ||A - Q A||_F <= sqrt(min(m, n) - r) * delta.
-
-    Returns
-    -------
-    (Q, r, factors)
-        Q : (m, m) orthogonal projector, r : the numerical rank,
-        factors : the economy SVD used to build Q.
-
-    Raises
-    ------
-    RankZeroError
-        If no singular value exceeds delta: the data carries no signal
-        distinguishable from noise at that threshold.
-    """
-    factors = _economy_svd(A)
-    r = int(np.sum(factors.S > delta))
-    if r == 0:
-        raise RankZeroError(
-            f"rank_delta(A, {delta:g}) = 0: no singular value exceeds the threshold"
-        )
-    Ur = factors.U[:, :r]
-    return Ur @ Ur.T, r, factors
 
 
 def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -174,7 +121,8 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     Every returned column x then has at most r nonzero entries and, on
     well-posed inputs, satisfies
     ``||A x - y|| <= ||x|| * sqrt(r*(min(m,n)-r)) * delta + ||(I - Q) y||``
-    with Q the truncated projector of A.
+    with Q = U_r U_r^T the projector onto the top-r left singular subspace of
+    A; that bound is returned per column.
 
     Parameters
     ----------
@@ -201,17 +149,17 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         )
     p = Y.shape[1]
 
-    factors = _economy_svd(A)
-    r = int(np.sum(factors.S > cfg.delta))
+    U, S, V = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(S > cfg.delta))
     if r == 0:
         raise RankZeroError(
             f"rank_delta(A, {cfg.delta:g}) = 0: no singular value exceeds the threshold"
         )
 
-    Ur = factors.U[:, :r]
+    Ur = U[:, :r]
     A_hat = Ur.T @ A                      # (r, n) projected system
     Y_hat = Ur.T @ Y                      # (r, p)
-    X0 = factors.V[:r].T @ (Y_hat / factors.S[:r, None])  # truncated-pinv start
+    X0 = V[:r].T @ (Y_hat / S[:r, None])  # truncated-pinv start
 
     def support_size(magnitudes: np.ndarray) -> int:
         # At least one column is always kept; at most r can carry signal.
@@ -242,10 +190,17 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         iters.append(k)
         residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
 
+    s_nm = float(np.sqrt(r * (min(m, n) - r)))
+    deflated = Y - Ur @ Y_hat             # (I - Q) Y without forming Q
+    bounds = [
+        float(np.linalg.norm(X[:, j]) * s_nm * cfg.delta + np.linalg.norm(deflated[:, j]))
+        for j in range(p)
+    ]
     return SparseSolution(
         X=X,
         nnz_per_column=nnz,
         iterations_per_column=iters,
         residual_norms=residuals,
         rank=r,
+        column_bounds=bounds,
     )

@@ -1,22 +1,24 @@
 """Training, evaluation, rollout, and persistence of regressive reservoir computers.
 
-A trained model maps a delay window through the polynomial feature map, the
-monomial compression matrix, and a sparse output-coupling matrix; a 0/1
-selector then extracts one predicted sample per channel from the dilated
-output. Iterating prediction and window sliding simulates the system
-forward.
+A trained model evaluates the distinct polynomial monomials of a delay
+window (the Kronecker features averaged by the exact compression matrix) and
+maps them through a sparse output-coupling matrix; a 0/1 selector then
+extracts one predicted sample per channel from the dilated output. Iterating
+prediction and window sliding simulates the system forward.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .compression import CompressionMatrix, compress, compression_matrix
-from .embedding import EmbeddingConfig, TimeSeries, build_data_matrices, eth_map
+from .compression import CompressionMatrix, compression_matrix_exact
+from .embedding import EmbeddingConfig, TimeSeries, feature_dim
+from .embedding import monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
     ModelFormatError,
@@ -77,15 +79,15 @@ class RRCModel:
     L: int
     p: int
     selector_offset: int
-    R: CompressionMatrix
     W_hat: np.ndarray
     diagnostics: TrainingDiagnostics
 
     def __post_init__(self):
         nL = self.n * self.L
-        if self.W_hat.shape != (nL, self.R.rows):
+        rho = math.comb(nL + self.p, self.p)  # distinct monomials, constant included
+        if self.W_hat.shape != (nL, rho):
             raise DimensionMismatchError(
-                f"W_hat shape {self.W_hat.shape}, expected ({nL}, {self.R.rows})"
+                f"W_hat shape {self.W_hat.shape}, expected ({nL}, {rho})"
             )
         if not 1 <= self.selector_offset <= self.L:
             raise ValueError(
@@ -98,10 +100,14 @@ class RRCModel:
         return (
             (self.n, self.L, self.p, self.selector_offset)
             == (other.n, other.L, other.p, other.selector_offset)
-            and self.R == other.R
             and np.array_equal(self.W_hat, other.W_hat)
             and self.diagnostics == other.diagnostics
         )
+
+    @property
+    def R(self) -> CompressionMatrix:
+        """The compression matrix the features are averaged by: the exact partition."""
+        return compression_matrix_exact(self.n, self.L, self.p)
 
     @property
     def selector_indices(self) -> np.ndarray:
@@ -126,15 +132,17 @@ def train_rrc(
     solver: SolverConfig,
     seed: int = 0,
     nu: float = 1.0,
-    group_eps: float | None = None,
     selector_offset: int | None = None,
 ) -> RRCModel:
     """Identify the sparse output-coupling matrix mapping x windows to y windows.
 
-    Builds the compression matrix from the given seed, assembles the
-    feature/target matrices, and solves W_hat (R H0) = H1 through the
-    transposed system so each output row is fitted independently by the
-    sparse solver.
+    Evaluates the distinct monomials G of every x window, which equal the
+    compressed features R H0, and solves W_hat G = H1 through the transposed
+    system so each output row is fitted independently by the sparse solver.
+
+    ``seed`` and ``nu`` (the randomized compression probe's seed and scale,
+    ``nu > 0``) are recorded provenance only: every probe that succeeds
+    reproduces the exact partition, so they do not affect the fit.
 
     Raises
     ------
@@ -144,38 +152,25 @@ def train_rrc(
     DimensionMismatchError
         If the series shapes disagree.
     """
-    R = compression_matrix(x.n, cfg.L, cfg.p, nu=nu, eps=group_eps, seed=seed)
-    data = build_data_matrices(x, y, cfg)
-    G = compress(R, data.H0)              # (rho, cols)
-    A_sys = G.T                           # (cols, rho)
-    Y_sys = data.H1.T                     # (cols, nL)
-    solution = sparse_lstsq(A_sys, Y_sys, solver)
+    if not nu > 0:
+        raise ValueError(f"nu must be > 0, got {nu}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
+    G = monomial_features(Xw, cfg.p)      # (rho, cols)
+    solution = sparse_lstsq(G.T, H1.T, solver)
     # C-contiguous so matvecs match a reloaded model bit for bit.
     W_hat = np.ascontiguousarray(solution.X.T)  # (nL, rho)
 
-    # Per-column certificate pieces, without materializing the projector.
-    U, S, _ = np.linalg.svd(A_sys, full_matrices=False)
-    r = solution.rank
-    s_nm = float(np.sqrt(r * (min(A_sys.shape) - r)))
-    Ur = U[:, :r]
-    deflated = Y_sys - Ur @ (Ur.T @ Y_sys)
-    bounds = [
-        float(
-            np.linalg.norm(solution.X[:, j]) * s_nm * solver.delta
-            + np.linalg.norm(deflated[:, j])
-        )
-        for j in range(Y_sys.shape[1])
-    ]
-
-    residual_fro = float(np.linalg.norm(W_hat @ G - data.H1))
-    h1_norm = float(np.linalg.norm(data.H1))
+    residual_fro = float(np.linalg.norm(W_hat @ G - H1))
+    h1_norm = float(np.linalg.norm(H1))
     diagnostics = TrainingDiagnostics(
-        rank=r,
+        rank=solution.rank,
         nnz=int(np.count_nonzero(W_hat)),
         residual_fro=residual_fro,
         relative_residual=residual_fro / h1_norm if h1_norm > 0 else 0.0,
         column_residuals=[float(v) for v in solution.residual_norms],
-        column_bounds=bounds,
+        column_bounds=solution.column_bounds,
         train_min=[float(v) for v in x.values.min(axis=0)],
         train_max=[float(v) for v in x.values.max(axis=0)],
         delta=solver.delta,
@@ -189,7 +184,6 @@ def train_rrc(
         L=cfg.L,
         p=cfg.p,
         selector_offset=cfg.L if selector_offset is None else selector_offset,
-        R=R,
         W_hat=W_hat,
         diagnostics=diagnostics,
     )
@@ -222,7 +216,7 @@ def transform(model: RRCModel, window: np.ndarray) -> tuple[np.ndarray, np.ndarr
     nL = model.n * model.L
     if window.size != nL:
         raise DimensionMismatchError(f"window has {window.size} entries, expected {nL}")
-    y_dilated = model.W_hat @ compress(model.R, eth_map(window, model.p))
+    y_dilated = model.W_hat @ monomial_features(window, model.p)
     return y_dilated, y_dilated[model.selector_indices]
 
 
@@ -267,6 +261,7 @@ def forecast(
             f"seed window has {window.size} entries, expected {nL}"
         )
     guard = _rollout_guard(model, guard_factor)
+    blocks = window.reshape(model.n, model.L)  # view: one row per channel block
     out = np.empty((horizon, model.n))
     for step in range(1, horizon + 1):
         _, y_sel = transform(model, window)
@@ -274,10 +269,18 @@ def forecast(
         if not np.isfinite(worst) or worst > guard:
             raise NumericBlowupError(step=step, value=worst, guard=guard)
         out[step - 1] = y_sel
-        for j in range(model.n):
-            block = slice(j * model.L, (j + 1) * model.L)
-            window[block] = np.append(window[block][1:], y_sel[j])
+        blocks[:, :-1] = blocks[:, 1:]
+        blocks[:, -1] = y_sel
     return TimeSeries(out)
+
+
+def _compression_doc(R: CompressionMatrix) -> dict:
+    return {
+        "rho": R.rows,
+        "d": R.cols,
+        "groups": [list(g) for g in R.groups],
+        "group_spread": R.group_spread,
+    }
 
 
 def save_model(model: RRCModel, path: str | Path) -> None:
@@ -294,12 +297,7 @@ def save_model(model: RRCModel, path: str | Path) -> None:
         "L": model.L,
         "p": model.p,
         "selector_offset": model.selector_offset,
-        "compression": {
-            "rho": model.R.rows,
-            "d": model.R.cols,
-            "groups": [list(g) for g in model.R.groups],
-            "group_spread": model.R.group_spread,
-        },
+        "compression": _compression_doc(model.R),
         "W_hat": {"rows": rows, "cols": cols, "triplets": triplets},
         "diagnostics": asdict(model.diagnostics),
     }
@@ -312,7 +310,9 @@ def load_model(path: str | Path) -> RRCModel:
     Raises
     ------
     ModelFormatError
-        If the file is not a model document.
+        If the file is not a model document, or any field is missing,
+        mistyped, out of range, non-finite, or inconsistent with the others
+        (including a compression block other than the exact partition).
     ModelVersionError
         If the schema version is unsupported.
     """
@@ -327,24 +327,62 @@ def load_model(path: str | Path) -> RRCModel:
         raise ModelVersionError(
             f"unsupported schema version {version}, expected {SCHEMA_VERSION}"
         )
-    comp = doc["compression"]
-    R = CompressionMatrix(
-        groups=tuple(tuple(int(k) for k in g) for g in comp["groups"]),
-        n=doc["n"],
-        L=doc["L"],
-        p=doc["p"],
-        group_spread=float(comp["group_spread"]),
+    try:
+        return _model_from_doc(doc)
+    except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
+        raise ModelFormatError(f"malformed model document: {exc!r}") from exc
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise ModelFormatError(message)
+
+
+def _model_from_doc(doc: dict) -> RRCModel:
+    n, L, p = doc["n"], doc["L"], doc["p"]
+    _require(
+        all(type(v) is int and v >= 1 for v in (n, L, p)),
+        f"n, L, p must be positive integers, got {n!r}, {L!r}, {p!r}",
     )
+    comp = doc["compression"]
+    # Sized against the file before the partition of that size is enumerated.
+    _require(
+        sum(len(g) for g in comp["groups"]) == feature_dim(n * L, p),
+        "compression groups do not cover the feature columns",
+    )
+    R = compression_matrix_exact(n, L, p)
+    _require(comp == _compression_doc(R), "compression block is not the exact partition")
+
     w_doc = doc["W_hat"]
-    W_hat = np.zeros((w_doc["rows"], w_doc["cols"]))
-    for i, j, value in w_doc["triplets"]:
-        W_hat[int(i), int(j)] = float(value)
+    shape = (w_doc["rows"], w_doc["cols"])
+    _require(shape == (n * L, R.rows), f"W_hat is {shape}, expected {(n * L, R.rows)}")
+    triplets = np.array(w_doc["triplets"], dtype=float)
+    if triplets.size == 0:
+        triplets = triplets.reshape(0, 3)
+    _require(triplets.ndim == 2 and triplets.shape[1] == 3, "W_hat triplet not [i, j, v]")
+    index = triplets[:, :2]
+    _require(
+        np.all(index == np.floor(index))
+        and np.all(index >= 0)
+        and np.all(index < np.array(shape)),
+        "W_hat triplet index outside the matrix",
+    )
+    _require(np.all(np.isfinite(triplets[:, 2])), "W_hat has a non-finite coefficient")
+    W_hat = np.zeros(shape)
+    W_hat[index[:, 0].astype(int), index[:, 1].astype(int)] = triplets[:, 2]
+
+    diagnostics = TrainingDiagnostics(**doc["diagnostics"])
+    for name in ("train_min", "train_max"):
+        values = np.asarray(getattr(diagnostics, name), dtype=float)
+        _require(
+            values.shape == (n,) and np.all(np.isfinite(values)),
+            f"diagnostics {name} must hold {n} finite values",
+        )
     return RRCModel(
-        n=doc["n"],
-        L=doc["L"],
-        p=doc["p"],
+        n=n,
+        L=L,
+        p=p,
         selector_offset=doc["selector_offset"],
-        R=R,
         W_hat=W_hat,
-        diagnostics=TrainingDiagnostics(**doc["diagnostics"]),
+        diagnostics=diagnostics,
     )

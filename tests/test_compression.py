@@ -147,3 +147,21 @@ class TestCompressDecompress:
             rk.compress(R, np.ones(R.cols + 1))
         with pytest.raises(DimensionMismatchError):
             rk.decompress(R, np.ones(R.rows + 1))
+
+
+class TestDistinctMonomialOracle:
+    def test_monomial_features_equal_compressed_kronecker_features(self):
+        rng = np.random.default_rng(48)
+        for n, L, p in CONFIGS + [(3, 2, 2), (3, 3, 2), (2, 2, 3), (1, 4, 3)]:
+            x = rk.TimeSeries(rng.standard_normal((12, n)))
+            y = rk.TimeSeries(rng.standard_normal((12, n)))
+            data = rk.build_data_matrices(x, y, rk.EmbeddingConfig(L=L, p=p))
+            Xw = np.column_stack(
+                [rk.delay_embed(x, L, t) for t in range(L, x.T + 1)]
+            )
+            G = rk.monomial_features(Xw, p)
+            exact = rk.compression_matrix_exact(n, L, p)
+            assert np.array_equal(G, rk.compress(exact, data.H0))
+            for seed in (0, 7, 42):
+                R = rk.compression_matrix(n, L, p, seed=seed)
+                assert np.array_equal(G, rk.compress(R, data.H0))

@@ -1,6 +1,7 @@
 """Delay embedding, Kronecker features, data-matrix assembly, lag heuristic."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -131,6 +132,36 @@ class TestEthMap:
             assert rk.eth_map(x, int(rng.integers(1, 4)))[-1] == 1.0
 
 
+class TestMonomialFeatures:
+    def test_pair_order_two(self):
+        # x1, x2, x1^2, x1 x2, x2^2, 1
+        np.testing.assert_array_equal(
+            rk.monomial_features([1.0, 2.0], 2), [1, 2, 1, 2, 4, 1]
+        )
+
+    def test_distinct_count(self):
+        for m in range(1, 6):
+            for p in range(1, 5):
+                assert rk.monomial_features(np.ones(m), p).size == math.comb(m + p, p)
+
+    def test_matrix_columns_match_vector_calls(self):
+        rng = np.random.default_rng(11)
+        X = rng.standard_normal((4, 7))
+        G = rk.monomial_features(X, 3)
+        for k in range(7):
+            np.testing.assert_array_equal(G[:, k], rk.monomial_features(X[:, k], 3))
+
+    def test_budget_applies_to_compressed_size(self):
+        X = np.ones((6, 50))
+        rho = math.comb(6 + 3, 3)
+        assert rk.monomial_features(X, 3, budget=rho * 50).shape == (rho, 50)
+        with pytest.raises(FeatureBudgetError):
+            rk.monomial_features(X, 3, budget=rho * 50 - 1)
+        assert rk.monomial_features(X[:, 0], 3, budget=rho).shape == (rho,)
+        with pytest.raises(FeatureBudgetError):
+            rk.monomial_features(X[:, 0], 3, budget=rho - 1)
+
+
 class TestBuildDataMatrices:
     def test_lag_one_linear(self):
         x = rk.TimeSeries(np.array([1.0, 2.0, 3.0]))
@@ -209,3 +240,22 @@ class TestLagSuggestion:
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
             rk.suggest_lag(rk.TimeSeries(np.array([1.0, 2.0])))
+
+    def test_first_crossing_matches_full_range(self):
+        # Oracle: the first 1/e crossing of the autocorrelation over every
+        # lag up to T - 1, which suggest_lag computed before it stopped early.
+        def full_range_lag(x):
+            acf = autocorrelation(x, x.size - 1)
+            if np.isnan(acf[0]):
+                return 1
+            below = np.nonzero(acf[1:] < 1.0 / np.e)[0]
+            return int(below[0]) + 1 if below.size else x.size - 1
+
+        orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=40.0, samples=4000))
+        rng = np.random.default_rng(41)
+        walks = [np.cumsum(rng.standard_normal(T)) for T in (3, 4, 5, 17, 64, 300)]
+        channels = [orbit.values[:, 0], np.full(60, 1.5)] + walks
+        for x in channels:
+            lags, _ = rk.suggest_lag(rk.TimeSeries(x))
+            assert lags == [full_range_lag(x)]
+        assert full_range_lag(orbit.values[:, 0]) > 64  # needs several doublings

@@ -7,7 +7,12 @@ import pytest
 
 import rrckit as rk
 from rrckit.errors import DimensionMismatchError, RankZeroError
-from testutil import residual_certificate, matrix_with_spectrum, straddling_spectrum
+from testutil import (
+    matrix_with_spectrum,
+    residual_certificate,
+    straddling_spectrum,
+    truncated_projector,
+)
 
 
 class TestHeaviside:
@@ -58,14 +63,16 @@ class TestRankDelta:
 
 
 class TestTruncatedProjector:
+    """The dense projector the solver's residual certificate is stated with."""
+
     def test_full_rank_identity(self):
-        Q, r, _ = rk.truncated_projector(np.eye(2), 0.5)
+        Q, r, _ = truncated_projector(np.eye(2), 0.5)
         assert r == 2
         np.testing.assert_allclose(Q, np.eye(2), atol=1e-14)
 
     def test_diagonal_truncation(self):
         A = np.diag([3.0, 0.1])
-        Q, r, _ = rk.truncated_projector(A, 0.5)
+        Q, r, _ = truncated_projector(A, 0.5)
         assert r == 1
         np.testing.assert_allclose(Q, np.diag([1.0, 0.0]), atol=1e-14)
         err = np.linalg.norm(A - Q @ A)
@@ -77,7 +84,7 @@ class TestTruncatedProjector:
         B = rng.standard_normal((10, 2))
         C = rng.standard_normal((2, 4))
         A = B @ C + 1e-8 * rng.standard_normal((10, 4))
-        Q, r, factors = rk.truncated_projector(A, 1e-4)
+        Q, r, factors = truncated_projector(A, 1e-4)
         assert r == 2
         residual = np.linalg.norm(A - Q @ A)
         # independent oracle: the residual is the tail of the spectrum
@@ -93,19 +100,19 @@ class TestTruncatedProjector:
             delta = float(rng.uniform(0.05, 2.0))
             if rk.rank_delta(A, delta) == 0:
                 continue
-            Q, r, _ = rk.truncated_projector(A, delta)
+            Q, r, _ = truncated_projector(A, delta)
             assert np.linalg.norm(Q @ Q - Q) <= 1e-10
             assert np.linalg.norm(Q - Q.T) <= 1e-10
             assert np.trace(Q) == pytest.approx(r, abs=1e-8)
 
     def test_rank_zero_is_error(self):
         with pytest.raises(RankZeroError):
-            rk.truncated_projector(1e-3 * np.eye(2), 0.5)
+            truncated_projector(1e-3 * np.eye(2), 0.5)
 
     def test_svd_factor_invariants(self):
         rng = np.random.default_rng(23)
         A = rng.standard_normal((9, 6))
-        _, _, f = rk.truncated_projector(A, 1e-6)
+        _, _, f = truncated_projector(A, 1e-6)
         s1 = f.S[0]
         assert np.linalg.norm(f.U.T @ f.U - np.eye(6)) <= 1e-10 * s1
         assert np.linalg.norm(f.V @ f.V.T - np.eye(6)) <= 1e-10 * s1
@@ -162,6 +169,23 @@ class TestSparseLstsq:
         bound = residual_certificate(A, y, sol.X[:, 0], cfg.delta)
         assert best <= bound
         assert best <= sol.residual_norms[0] + 1e-12
+
+    def test_column_bounds_match_independent_svd(self):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            m = int(rng.integers(4, 20))
+            n = int(rng.integers(4, 20))
+            k = min(m, n)
+            r = int(rng.integers(1, k))
+            A = matrix_with_spectrum(rng, m, n, straddling_spectrum(rng, k, 1e-2, r))
+            Y = rng.standard_normal((m, 3))
+            cfg = rk.SolverConfig(delta=1e-2, epsilon=1e-6)
+            sol = rk.sparse_lstsq(A, Y, cfg)
+            expected = [
+                residual_certificate(A, Y[:, j], sol.X[:, j], cfg.delta)
+                for j in range(3)
+            ]
+            np.testing.assert_allclose(sol.column_bounds, expected, rtol=1e-12, atol=0)
 
     def test_near_collinear_single_support(self):
         A = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import rrckit as rk
+from rrckit.cli import main
 from rrckit.errors import (
     DimensionMismatchError,
     ModelFormatError,
     ModelVersionError,
     NumericBlowupError,
 )
+from rrckit.io import write_timeseries_csv
 from rrckit.model import selector_matrix
 from testutil import (
     as_dense_model,
@@ -94,6 +96,59 @@ class TestTraining:
             y_dilated, _ = rk.transform(model, window)
             target = rk.delay_embed(y_in, cfg.L, t)
             assert np.linalg.norm(y_dilated - target) <= agg
+
+
+class TestDistinctMonomialPath:
+    CFG = rk.EmbeddingConfig(L=2, p=3)
+    SOLVER = rk.SolverConfig(delta=1e-8, epsilon=1e-8)
+
+    def fit(self, orbit, **kwargs):
+        ts = rk.TimeSeries(orbit)
+        return rk.train_autoregressive(ts, self.CFG, self.SOLVER, **kwargs)
+
+    def test_transform_equals_compressed_kronecker_map(self):
+        orbit = bounded_orbit(np.random.default_rng(59), 3, 80)
+        model = self.fit(orbit, seed=0)
+        R = rk.compression_matrix_exact(3, 2, 3)
+        assert model.R == R
+        ts = rk.TimeSeries(orbit)
+        for t in (2, 31, 80):
+            window = rk.delay_embed(ts, 2, t)
+            y_dilated, _ = rk.transform(model, window)
+            expected = model.W_hat @ rk.compress(R, rk.eth_map(window, 3))
+            assert np.array_equal(y_dilated, expected)
+
+    def test_fit_and_rollout_skip_the_kronecker_oracles(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("paper-definition oracle called on the fit path")
+
+        for module in (rk, rk.compression, rk.embedding):
+            for name in ("compress", "compression_matrix", "eth_map", "build_data_matrices"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, forbidden)
+        svd_calls = []
+        real_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(args[0].shape)
+            return real_svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        model, orbit = TestPersistence().make_model()
+        assert len(svd_calls) == 1
+        fc = rk.forecast(model, orbit[-2:].T.reshape(-1), 25)
+        assert fc.values.shape == (25, 2) and len(svd_calls) == 1
+
+    def test_seed_and_nu_are_provenance_only(self):
+        orbit = bounded_orbit(np.random.default_rng(61), 3, 80)
+        a = self.fit(orbit, seed=0, nu=1.0)
+        b = self.fit(orbit, seed=9, nu=3.0)
+        assert np.array_equal(a.W_hat, b.W_hat)
+        assert (b.diagnostics.seed, b.diagnostics.nu) == (9, 3.0)
+        with pytest.raises(ValueError):
+            self.fit(orbit, nu=0.0)
+        with pytest.raises(ValueError):
+            self.fit(orbit, seed=-1)
 
 
 class TestSelector:
@@ -294,3 +349,37 @@ class TestPersistence:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelVersionError):
             rk.load_model(path)
+
+
+def _swap_groups(doc):
+    groups = doc["compression"]["groups"]
+    groups[1], groups[2] = groups[2], groups[1]
+
+
+MODEL_DEFECTS = {
+    "missing_compression": lambda doc: doc.pop("compression"),
+    "extra_diagnostics_key": lambda doc: doc["diagnostics"].update(extra=1),
+    "triplet_row_out_of_range": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(0, 99),
+    "negative_triplet_column": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(1, -1),
+    "nan_coefficient": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(2, float("nan")),
+    "nan_training_range": lambda doc: doc["diagnostics"]["train_max"].__setitem__(0, float("nan")),
+    "reordered_groups": _swap_groups,
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
+def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
+    model, orbit = TestPersistence().make_model()
+    path = tmp_path / "model.json"
+    rk.save_model(model, path)
+    doc = json.loads(path.read_text())
+    MODEL_DEFECTS[defect](doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        rk.load_model(path)
+    seed = tmp_path / "seed.csv"
+    write_timeseries_csv(seed, rk.TimeSeries(orbit))
+    code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
+                 "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err

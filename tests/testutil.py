@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 import rrckit as rk
 from rrckit.compression import compress
 from rrckit.embedding import build_data_matrices
+from rrckit.errors import RankZeroError
 from rrckit.model import RRCModel
 
 
@@ -63,6 +66,29 @@ def bounded_orbit(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
     return np.array(out)
 
 
+class SVDFactors(NamedTuple):
+    """Economy-sized SVD, U @ diag(S) @ V = A."""
+
+    U: np.ndarray
+    S: np.ndarray
+    V: np.ndarray
+
+
+def truncated_projector(A: np.ndarray, delta: float) -> tuple[np.ndarray, int, SVDFactors]:
+    """Oracle: dense rank-r projector Q = U_r U_r^T onto A's top left singular subspace.
+
+    r is the numerical rank at threshold delta, so
+    ||A - Q A||_F <= sqrt(min(m, n) - r) * delta. Returns (Q, r, factors).
+    Raises RankZeroError if no singular value exceeds delta.
+    """
+    U, S, V = np.linalg.svd(np.asarray(A, dtype=float), full_matrices=False)
+    r = int(np.sum(S > delta))
+    if r == 0:
+        raise RankZeroError(f"rank_delta(A, {delta:g}) = 0")
+    Ur = U[:, :r]
+    return Ur @ Ur.T, r, SVDFactors(U, S, V)
+
+
 def dense_solvent(model: RRCModel, x: rk.TimeSeries, y: rk.TimeSeries):
     """Minimum-norm dense solvent of the same reduced system a model was trained on.
 
@@ -80,7 +106,6 @@ def as_dense_model(model: RRCModel, W_bar: np.ndarray) -> RRCModel:
         L=model.L,
         p=model.p,
         selector_offset=model.selector_offset,
-        R=model.R,
         W_hat=np.ascontiguousarray(W_bar),
         diagnostics=model.diagnostics,
     )
