@@ -1,8 +1,12 @@
 """Command-line front end: simulate, train, forecast, exposure, suggest-lag.
 
-Exit codes: 0 success, 1 runtime or numeric failure, 2 usage error. All
-diagnostics print as key=value lines on stdout; errors go to stderr. Every
-command is deterministic given its flags and seed.
+Exit codes: 0 success, 1 runtime or numeric failure (``RRCError``), 2 usage
+error (``ValueError`` or ``OSError``: a rejected flag value, a missing,
+unreadable or unwritable path, a malformed CSV). Inputs are validated by the
+library types that own them; :func:`main` is the one place that turns an
+exception into an exit code. All diagnostics print as key=value lines on
+stdout; errors go to stderr. Every command is deterministic given its flags
+and seed.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ from .remittance import (
 
 USAGE_ERROR = 2
 RUNTIME_ERROR = 1
-
-
-def _fail_usage(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return USAGE_ERROR
 
 
 def _parse_triple(text: str, name: str) -> tuple[float, float, float]:
@@ -101,33 +100,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_inputs(*paths: str | None) -> str | None:
-    for p in paths:
-        if p is not None and not Path(p).exists():
-            return f"input path does not exist: {p}"
-    return None
-
-
 def cmd_simulate(args) -> int:
     if args.params is not None:
         if args.ic is None:
-            return _fail_usage("--params requires --ic")
-        try:
-            s, c, e = _parse_triple(args.params, "--params")
-            x0, y0, z0 = _parse_triple(args.ic, "--ic")
-        except ValueError as exc:
-            return _fail_usage(str(exc))
+            raise ValueError("--params requires --ic")
+        s, c, e = _parse_triple(args.params, "--params")
+        x0, y0, z0 = _parse_triple(args.ic, "--ic")
         params = FinancialParams(s=s, c=c, e=e, x0=x0, y0=y0, z0=z0)
     elif args.regime == "chaotic":
         params = CHAOTIC
     elif args.regime == "periodic":
         params = PERIODIC
     else:
-        return _fail_usage("choose --regime or give explicit --params/--ic")
-    if args.samples < 2:
-        return _fail_usage("--samples must be >= 2")
-    if args.t_end <= 0:
-        return _fail_usage("--t-end must be > 0")
+        raise ValueError("choose --regime or give explicit --params/--ic")
     grid = SimulationGrid(
         t_end=args.t_end, samples=args.samples, rtol=args.rtol, atol=args.atol
     )
@@ -139,38 +124,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    if args.lag < 1:
-        return _fail_usage("--lag must be >= 1")
-    if args.order < 1:
-        return _fail_usage("--order must be >= 1")
     if not 0.0 < args.train_frac <= 1.0:
-        return _fail_usage("--train-frac must lie in (0, 1]")
-    missing = _require_inputs(args.input, args.target)
-    if missing:
-        return _fail_usage(missing)
-
-    data = read_timeseries_csv(args.input)
-    n_train = max(1, int(args.train_frac * data.T))
+        raise ValueError("--train-frac must lie in (0, 1]")
     cfg = EmbeddingConfig(L=args.lag, p=args.order)
     solver = SolverConfig(
         delta=args.delta, max_iter=args.max_iter, epsilon=args.epsilon
     )
 
+    data = read_timeseries_csv(args.input)
+    n_train = max(1, int(args.train_frac * data.T))
     if args.target is None:
-        if n_train < args.lag + 1:
-            return _fail_usage(
-                f"training split of {n_train} rows too short for lag {args.lag}"
-            )
         x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
         model = train_autoregressive(x, cfg, solver, seed=args.seed, nu=args.nu)
     else:
         target = read_timeseries_csv(args.target)
         if target.T != data.T:
-            return _fail_usage(
-                f"input has {data.T} rows but target has {target.T}"
-            )
+            raise ValueError(f"input has {data.T} rows but target has {target.T}")
         if n_train < args.lag:
-            return _fail_usage(
+            raise ValueError(
                 f"training split of {n_train} rows too short for lag {args.lag}"
             )
         x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
@@ -194,22 +165,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    if args.horizon < 1:
-        return _fail_usage("--horizon must be >= 1")
-    missing = _require_inputs(args.model, args.seed_data, args.truth)
-    if missing:
-        return _fail_usage(missing)
-
     model = load_model(args.model)
     seed_data = read_timeseries_csv(args.seed_data)
     if seed_data.T < model.L:
-        return _fail_usage(
+        raise ValueError(
             f"seed data has {seed_data.T} rows, model needs at least {model.L}"
         )
     if seed_data.n != model.n:
-        return _fail_usage(
+        raise ValueError(
             f"seed data has {seed_data.n} channels, model expects {model.n}"
         )
+    truth = read_timeseries_csv(args.truth) if args.truth else None
+    if truth is not None and truth.n != model.n:
+        raise ValueError(f"truth has {truth.n} channels, model expects {model.n}")
     window = delay_embed(seed_data, model.L, seed_data.T)
     predicted = forecast(model, window, args.horizon, guard_factor=args.guard_factor)
 
@@ -225,12 +193,7 @@ def cmd_forecast(args) -> int:
     print(f"steps={args.horizon}")
     print(f"out={args.out}")
 
-    if args.truth:
-        truth = read_timeseries_csv(args.truth)
-        if truth.n != model.n:
-            return _fail_usage(
-                f"truth has {truth.n} channels, model expects {model.n}"
-            )
+    if truth is not None:
         steps = min(args.horizon, truth.T)
         nrmse = exposure_measure(
             truth.values[:steps], predicted.values[:steps]
@@ -242,24 +205,12 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_exposure(args) -> int:
-    missing = _require_inputs(args.remittances, args.deposits)
-    if missing:
-        return _fail_usage(missing)
     remit = read_timeseries_csv(args.remittances)
     deposits = read_timeseries_csv(args.deposits)
     if remit.T != deposits.T:
-        return _fail_usage(
+        raise ValueError(
             f"remittances have {remit.T} rows but deposits have {deposits.T}"
         )
-    minimum = 3 if args.lagged else 2
-    if remit.T < minimum:
-        return _fail_usage(
-            f"{'lagged' if args.lagged else 'non-lagged'} fit needs at least "
-            f"{minimum} quarters, got {remit.T}"
-        )
-    if not 0.0 < args.train_frac <= 1.0:
-        return _fail_usage("--train-frac must lie in (0, 1]")
-
     panel = RemittancePanel(R=remit.values, D=deposits.values)
     solver = SolverConfig(
         delta=args.delta, max_iter=args.max_iter, epsilon=args.epsilon
@@ -331,12 +282,7 @@ def cmd_exposure(args) -> int:
 
 
 def cmd_suggest_lag(args) -> int:
-    missing = _require_inputs(args.input)
-    if missing:
-        return _fail_usage(missing)
     data = read_timeseries_csv(args.input)
-    if data.T < 3:
-        return _fail_usage(f"need at least 3 samples, got {data.T}")
     labels = data.labels or [f"x{j+1}" for j in range(data.n)]
     lags, suggestion = suggest_lag(data)
     for j, (label, lag) in enumerate(zip(labels, lags)):
@@ -371,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except RRCError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

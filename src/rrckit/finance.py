@@ -14,6 +14,7 @@ safety factor 0.9, and cubic Hermite dense output onto the uniform grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,7 +29,6 @@ __all__ = [
     "financial_rhs",
     "integrate",
     "integrate_ode",
-    "rk45_fixed",
     "uniform_grid",
     "CHAOTIC",
     "PERIODIC",
@@ -55,7 +55,7 @@ PERIODIC = FinancialParams(s=0.5, c=0.1, e=0.1, x0=1.0, y0=1.0, z0=1.0)
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Output grid and adaptive tolerances."""
+    """Output grid and adaptive tolerances; t_end must be finite and > 0."""
 
     t_end: float
     samples: int
@@ -63,8 +63,8 @@ class SimulationGrid:
     atol: float = 1e-11
 
     def __post_init__(self):
-        if not self.t_end > 0:
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        if not (math.isfinite(self.t_end) and self.t_end > 0):
+            raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
         if not (self.rtol > 0 and self.atol > 0):
@@ -217,22 +217,6 @@ def integrate_ode(
     if next_sample < grid.samples:  # endpoint hit exactly by the last step
         out[next_sample:] = y
     return out
-
-
-def rk45_fixed(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    y0: np.ndarray,
-    t_end: float,
-    steps: int,
-) -> np.ndarray:
-    """Fixed-step integration (order-verification aid). Returns the endpoint."""
-    y = np.asarray(y0, dtype=float).copy()
-    h = t_end / steps
-    t = 0.0
-    for _ in range(steps):
-        y, _ = _rk_step(rhs, t, y, h, rhs(t, y))
-        t += h
-    return y
 
 
 def integrate(params: FinancialParams, grid: SimulationGrid) -> TimeSeries:

@@ -47,27 +47,49 @@ def write_timeseries_csv(path: str | Path, ts: TimeSeries) -> None:
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
+    """Read a time-series CSV; blank lines are skipped.
+
+    Raises ``ValueError`` naming ``path:line`` for a row whose field count
+    differs from the header's, a cell that does not parse as a float, and a
+    non-finite cell.
+    """
     with Path(path).open("r", newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or len(header) < 2:
             raise ValueError(f"{path}: expected a header with a time column and data")
         labels = [name.strip() for name in header[1:]]
-        times, rows = [], []
-        for line in reader:
-            if not line:
+        line_numbers, rows = [], []
+        for row in reader:
+            if not row:
                 continue
-            times.append(float(line[0]))
-            rows.append([float(v) for v in line[1:]])
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            line_numbers.append(reader.line_num)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    times_arr = np.array(times)
+    table = np.array(rows)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, j = bad[0]
+        raise ValueError(
+            f"{path}:{line_numbers[k]}: non-finite value {table[k, j]} in column {header[j]!r}"
+        )
+    times_arr = np.ascontiguousarray(table[:, 0])
+    values = np.ascontiguousarray(table[:, 1:])
     dt = None
-    if len(times) > 1:
+    if len(rows) > 1:
         diffs = np.diff(times_arr)
         if np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-            dt = float((times_arr[-1] - times_arr[0]) / (len(times) - 1))
-    return TimeSeries(np.array(rows), dt=dt, labels=labels, times=times_arr)
+            dt = float((times_arr[-1] - times_arr[0]) / (len(rows) - 1))
+    return TimeSeries(values, dt=dt, labels=labels, times=times_arr)
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[list]) -> None:

@@ -8,6 +8,7 @@ and re-solving on the restricted support until the iterate stabilizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +37,7 @@ class SolverConfig:
     epsilon : float
         Support-inclusion threshold: coefficients with magnitude <= epsilon
         are dropped between refinement passes. epsilon = 0 keeps every
-        nonzero coefficient ("keep-all" mode).
+        nonzero coefficient ("keep-all" mode). Must be finite and >= 0.
     """
 
     delta: float
@@ -48,8 +49,8 @@ class SolverConfig:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 @dataclass

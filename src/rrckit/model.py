@@ -244,7 +244,7 @@ def forecast(
     horizon : int
         Number of steps to simulate.
     guard_factor : float
-        Divergence guard; a predicted entry whose magnitude exceeds
+        Divergence guard, > 0; a predicted entry whose magnitude exceeds
         guard_factor times the training data range aborts the rollout.
 
     Raises
@@ -254,6 +254,8 @@ def forecast(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if not guard_factor > 0:
+        raise ValueError(f"guard_factor must be > 0, got {guard_factor}")
     window = np.asarray(seed_window, dtype=float).ravel().copy()
     nL = model.n * model.L
     if window.size != nL:

@@ -7,7 +7,9 @@ import pytest
 
 import rrckit as rk
 from rrckit.errors import StepUnderflowError
-from rrckit.finance import integrate_ode, rk45_fixed, uniform_grid
+from rrckit.finance import integrate_ode, uniform_grid
+
+from testutil import rk45_fixed
 
 
 class TestRhs:
@@ -68,6 +70,12 @@ class TestIntegrator:
             rk.SimulationGrid(t_end=1.0, samples=1)
         with pytest.raises(ValueError):
             rk.SimulationGrid(t_end=1.0, samples=10, rtol=0.0)
+
+    @pytest.mark.parametrize("t_end", [math.inf, math.nan])
+    def test_non_finite_t_end_rejected(self, t_end):
+        # an infinite t_end makes the step floor infinite and the controller never ends
+        with pytest.raises(ValueError, match="t_end"):
+            rk.SimulationGrid(t_end=t_end, samples=10)
 
 
 class TestRegimes:

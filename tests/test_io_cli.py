@@ -27,6 +27,12 @@ class TestCsvRoundTrip:
         assert back.labels == ["a", "b", "c"]
         assert back.dt == pytest.approx(0.25)
 
+    def test_error_line_counts_skipped_blank_lines(self, tmp_path):
+        path = tmp_path / "gappy.csv"
+        path.write_text("t,x\n0,1\n\n1,2\n2,inf\n")
+        with pytest.raises(ValueError, match=r"gappy\.csv:5: non-finite value inf in column 'x'"):
+            read_timeseries_csv(path)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")
@@ -286,6 +292,93 @@ class TestDeterminism:
                            str(deposits), "--lagged", "--out", str(out)) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def _defect_csv(source, dest, line_no, edit):
+    """Copy a CSV with the cells of one (1-based) line replaced by edit(cells)."""
+    lines = source.read_text().splitlines()
+    lines[line_no - 1] = ",".join(edit(lines[line_no - 1].split(",")))
+    dest.write_text("\n".join(lines) + "\n")
+    return dest
+
+
+@pytest.fixture(scope="module")
+def boundary_inputs(orbit_csv, tmp_path_factory):
+    d = tmp_path_factory.mktemp("boundary")
+    model = d / "model.json"
+    assert run_cli("train", "--input", str(orbit_csv), "--lag", "2", "--order", "2",
+                   "--delta", "1e-8", "--train-frac", "0.5", "--out", str(model)) == 0
+    panel, _ = rk.synth_panel(6, 4, 12, seed=93, noise_level=0.0)
+    write_timeseries_csv(d / "remit.csv", rk.TimeSeries(panel.R))
+    write_timeseries_csv(d / "deposits.csv", rk.TimeSeries(panel.D))
+    (d / "a_directory").mkdir()
+    return {
+        "orbit": orbit_csv,
+        "model": model,
+        "remit": d / "remit.csv",
+        "deposits": d / "deposits.csv",
+        "directory": d / "a_directory",
+        "ragged": _defect_csv(orbit_csv, d / "ragged.csv", 6, lambda c: c[:-1]),
+        "abc": _defect_csv(orbit_csv, d / "abc.csv", 8, lambda c: c[:2] + ["abc"] + c[3:]),
+        "nan": _defect_csv(orbit_csv, d / "nan.csv", 10, lambda c: c[:3] + ["nan"]),
+    }
+
+
+_TRAIN = ["train", "--input", "{orbit}", "--lag", "2"]
+_FORECAST = ["forecast", "--model", "{model}", "--seed-data", "{orbit}", "--horizon", "5"]
+
+# (case, argv, fragment of the stderr line). Every case is a usage error (exit 2);
+# "{out}" is a writable path and "{missing}" a directory that does not exist.
+BOUNDARY_CASES = [
+    ("simulate-out-in-missing-dir",
+     ["simulate", "--regime", "chaotic", "--samples", "50", "--t-end", "5",
+      "--out", "{missing}/o.csv"], "No such file or directory"),
+    ("train-out-in-missing-dir", _TRAIN + ["--out", "{missing}/o.json"],
+     "No such file or directory"),
+    ("forecast-out-in-missing-dir", _FORECAST + ["--out", "{missing}/o.csv"],
+     "No such file or directory"),
+    ("exposure-out-in-missing-dir",
+     ["exposure", "--remittances", "{remit}", "--deposits", "{deposits}", "--lagged",
+      "--out", "{missing}/o.csv"], "No such file or directory"),
+    ("input-is-directory", ["train", "--input", "{directory}", "--lag", "2",
+                            "--out", "{out}"], "Is a directory"),
+    ("model-is-directory", ["forecast", "--model", "{directory}", "--seed-data",
+                            "{orbit}", "--horizon", "5", "--out", "{out}"],
+     "Is a directory"),
+    ("missing-truth", _FORECAST + ["--truth", "{missing}/truth.csv", "--out", "{out}"],
+     "No such file or directory"),
+    ("epsilon-nan", _TRAIN + ["--epsilon", "nan", "--out", "{out}"], "epsilon"),
+    ("guard-factor-nan", _FORECAST + ["--guard-factor", "nan", "--out", "{out}"],
+     "guard_factor"),
+    ("guard-factor-zero", _FORECAST + ["--guard-factor", "0", "--out", "{out}"],
+     "guard_factor"),
+    ("guard-factor-negative", _FORECAST + ["--guard-factor", "-1", "--out", "{out}"],
+     "guard_factor"),
+    ("t-end-inf", ["simulate", "--regime", "chaotic", "--t-end", "inf", "--out", "{out}"],
+     "t_end"),
+    ("ragged-row", ["train", "--input", "{ragged}", "--lag", "2", "--out", "{out}"],
+     "ragged.csv:6: expected 4 fields, got 3"),
+    ("non-numeric-cell", ["train", "--input", "{abc}", "--lag", "2", "--out", "{out}"],
+     "abc.csv:8: could not convert string to float: 'abc'"),
+    ("non-finite-cell", ["train", "--input", "{nan}", "--lag", "2", "--out", "{out}"],
+     "nan.csv:10: non-finite value nan in column 'x3'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment", [case[1:] for case in BOUNDARY_CASES],
+    ids=[case[0] for case in BOUNDARY_CASES],
+)
+def test_boundary_input_fails_cleanly(boundary_inputs, tmp_path, capsys, argv, fragment):
+    outputs = tmp_path / "outputs"
+    outputs.mkdir()
+    paths = dict(boundary_inputs, out=outputs / "out", missing=tmp_path / "no-such-dir")
+    assert run_cli(*[arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert fragment in err
+    assert not list(outputs.iterdir())  # a failing command writes no output file
 
 
 class TestHelp:

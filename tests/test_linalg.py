@@ -250,3 +250,9 @@ class TestSparseLstsq:
         with pytest.raises(ValueError):
             rk.SolverConfig(delta=1e-8, epsilon=-1.0)
         rk.SolverConfig(delta=1e-8, epsilon=0.0)  # keep-all mode is legal
+
+    @pytest.mark.parametrize("epsilon", [np.nan, np.inf])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        # NaN passes an `epsilon < 0` test and would keep every coefficient
+        with pytest.raises(ValueError, match="epsilon"):
+            rk.SolverConfig(delta=1e-8, epsilon=epsilon)

@@ -266,6 +266,13 @@ class TestForecast:
         with pytest.raises(ValueError):
             rk.forecast(model, np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("guard_factor", [np.nan, 0.0, -1.0])
+    def test_guard_factor_validated(self, guard_factor):
+        # NaN would switch the guard off; 0 and -1 would stop every rollout at step 1
+        model, _ = geometric_model()
+        with pytest.raises(ValueError, match="guard_factor"):
+            rk.forecast(model, np.array([1.0]), 5, guard_factor=guard_factor)
+
 
 class TestSparseVsDenseEstimate:
     def test_planted_consistent_problem(self):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -10,6 +10,7 @@ import rrckit as rk
 from rrckit.compression import compress
 from rrckit.embedding import build_data_matrices
 from rrckit.errors import RankZeroError
+from rrckit.finance import _rk_step
 from rrckit.model import RRCModel
 
 
@@ -120,3 +121,22 @@ def residual_certificate(A: np.ndarray, y: np.ndarray, x: np.ndarray, delta: flo
     return float(
         np.linalg.norm(x) * s_nm * delta + np.linalg.norm(y - Ur @ (Ur.T @ y))
     )
+
+
+def rk45_fixed(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    t_end: float,
+    steps: int,
+) -> np.ndarray:
+    """Fixed-step integration with the package's embedded step; returns the endpoint.
+
+    An order-verification aid: the step's fourth-order error is checked by
+    halving the step size."""
+    y = np.asarray(y0, dtype=float).copy()
+    h = t_end / steps
+    t = 0.0
+    for _ in range(steps):
+        y, _ = _rk_step(rhs, t, y, h, rhs(t, y))
+        t += h
+    return y
