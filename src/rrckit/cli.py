@@ -70,7 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--train-frac", type=float, default=1.0)
     provenance = "compression-probe {}, recorded in the model file; does not affect the fit"
     tr.add_argument("--seed", type=int, default=0, help=provenance.format("seed (>= 0)"))
-    tr.add_argument("--nu", type=float, default=1.0, help=provenance.format("scale (> 0)"))
+    tr.add_argument(
+        "--nu", type=float, default=1.0, help=provenance.format("scale (finite, > 0)")
+    )
     tr.add_argument("--out", required=True)
 
     fc = sub.add_parser("forecast", help="roll a trained model forward")
@@ -227,14 +229,10 @@ def cmd_exposure(args) -> int:
 
     ranking = rank_exposures(report, k=panel.institutions)
     rank_of = {inst: pos + 1 for pos, (inst, _) in enumerate(ranking)}
-    write_table_csv(
-        args.out,
-        ["institution", "exposure", "rank"],
-        [
-            [j + 1, float(report.exposures[j]), rank_of[j + 1]]
-            for j in range(panel.institutions)
-        ],
-    )
+    report_rows = [
+        [j + 1, float(report.exposures[j]), rank_of[j + 1]]
+        for j in range(panel.institutions)
+    ]
 
     adjacency_path = args.adjacency_out or str(
         Path(args.out).with_name(Path(args.out).stem + "_adjacency.csv")
@@ -247,7 +245,6 @@ def cmd_exposure(args) -> int:
         [int(i) + 1, terms[int(j)], float(model.M[i, j])]
         for i, j in zip(*np.nonzero(model.M))
     ]
-    write_table_csv(adjacency_path, ["institution", "source", "weight"], adjacency_rows)
 
     fitted_path = args.fitted_out or str(
         Path(args.out).with_name(Path(args.out).stem + "_fitted.csv")
@@ -267,7 +264,21 @@ def cmd_exposure(args) -> int:
             + [float(v) for v in observed_row]
             + [float(v) for v in report.fitted[k]]
         )
-    write_table_csv(fitted_path, fitted_header, fitted_rows)
+
+    # All three tables or none: a failed write removes the ones written before it.
+    written = []
+    try:
+        for path, header, rows in [
+            (args.out, ["institution", "exposure", "rank"], report_rows),
+            (adjacency_path, ["institution", "source", "weight"], adjacency_rows),
+            (fitted_path, fitted_header, fitted_rows),
+        ]:
+            write_table_csv(path, header, rows)
+            written.append(path)
+    except OSError:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
     print(f"model={model.kind}")
     print(f"rank={model.rank}")

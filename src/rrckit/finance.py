@@ -8,13 +8,17 @@ periodic motion; both regimes feed the identification pipeline with
 uniformly sampled training data.
 
 Integration uses a hand-rolled Fehlberg 4(5) embedded pair: fourth-order
-propagation, fifth-order error estimate, proportional step control with
-safety factor 0.9, and cubic Hermite dense output onto the uniform grid.
+propagation, fifth-order error estimate and proportional step control with
+safety factor 0.9. The step loop only records the accepted steps'
+endpoints; after it, cubic Hermite dense output evaluates the samples of the
+uniform grid in vectorized blocks, each sample inside the first step that
+ends at or after it.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Callable
 
@@ -108,6 +112,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _STEP_FLOOR = 1e-12  # relative to t_end
+_DENSE_BLOCK = 1024  # samples per dense-output pass, so memory stays flat in samples
 
 
 def _rk_step(
@@ -133,23 +138,22 @@ def _rk_step(
 
 
 def _hermite(
-    t0: float, y0: np.ndarray, f0: np.ndarray,
-    t1: float, y1: np.ndarray, f1: np.ndarray,
-    ts: np.ndarray,
+    t: np.ndarray, y: np.ndarray, f: np.ndarray, end: np.ndarray, ts: np.ndarray
 ) -> np.ndarray:
-    """Cubic Hermite interpolation at times ts within [t0, t1]."""
-    h = t1 - t0
-    tau = (ts - t0) / h
+    """Cubic Hermite interpolation, one sample per row.
+
+    Sample k at time ts[k] lies in the step from (t, y, f)[end[k] - 1] to
+    (t, y, f)[end[k]]: times, states and derivatives at the step ends.
+    Returns (len(ts), n).
+    """
+    start = end - 1
+    h = (t[end] - t[start])[:, None]
+    tau = (ts - t[start])[:, None] / h
     h00 = (1 + 2 * tau) * (1 - tau) ** 2
     h10 = tau * (1 - tau) ** 2
     h01 = tau * tau * (3 - 2 * tau)
     h11 = tau * tau * (tau - 1)
-    return (
-        np.outer(h00, y0)
-        + np.outer(h10, h * f0)
-        + np.outer(h01, y1)
-        + np.outer(h11, h * f1)
-    )
+    return h00 * y[start] + h10 * (h * f[start]) + h01 * y[end] + h11 * (h * f[end])
 
 
 def integrate_ode(
@@ -169,13 +173,13 @@ def integrate_ode(
     """
     y0 = np.asarray(y0, dtype=float)
     times = uniform_grid(grid.t_end, grid.samples)
-    out = np.empty((grid.samples, y0.size))
-    out[0] = y0
-    next_sample = 1
 
     t = 0.0
     y = y0.copy()
     f = rhs(t, y)
+    # Accepted step endpoints (t, y, f), one flat row per step from the initial
+    # state on; a flat float buffer keeps memory at 8 bytes a value.
+    steps = array("d", (t, *y, *f))
 
     # Initial step from the local derivative scale.
     sc = grid.atol + grid.rtol * np.abs(y)
@@ -197,14 +201,10 @@ def integrate_ode(
         err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
         if err_norm <= 1.0:
             # land exactly on t_end when the step was clipped to reach it
-            t_new = grid.t_end if clipped else t + h
-            f_new = rhs(t_new, y_new)
-            while next_sample < grid.samples and times[next_sample] <= t_new:
-                out[next_sample] = _hermite(
-                    t, y, f, t_new, y_new, f_new, times[next_sample : next_sample + 1]
-                )[0]
-                next_sample += 1
-            t, y, f = t_new, y_new, f_new
+            t = grid.t_end if clipped else t + h
+            y = y_new
+            f = rhs(t, y)
+            steps.extend((t, *y, *f))
             factor = (
                 _MAX_FACTOR
                 if err_norm == 0.0
@@ -214,8 +214,17 @@ def integrate_ode(
         else:
             h *= max(_MIN_FACTOR, _SAFETY * err_norm ** -0.2)
 
-    if next_sample < grid.samples:  # endpoint hit exactly by the last step
-        out[next_sample:] = y
+    n = y0.size
+    steps = np.frombuffer(steps).reshape(-1, 1 + 2 * n)
+    step_t, step_y, step_f = steps[:, 0], steps[:, 1 : 1 + n], steps[:, 1 + n :]
+    # Sample k belongs to the first step ending at or after times[k]; the last
+    # step ends at t_end = times[-1], so every sample has one.
+    end = np.searchsorted(step_t[1:], times, side="left") + 1
+    out = np.empty((grid.samples, n))
+    out[0] = y0
+    for lo in range(1, grid.samples, _DENSE_BLOCK):
+        block = slice(lo, lo + _DENSE_BLOCK)
+        out[block] = _hermite(step_t, step_y, step_f, end[block], times[block])
     return out
 
 

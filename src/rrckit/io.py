@@ -34,45 +34,56 @@ def _default_times(ts: TimeSeries) -> np.ndarray:
     return np.arange(ts.T, dtype=float)
 
 
+# Rows formatted per block, so memory stays flat in the series length.
+_WRITE_BLOCK_ROWS = 1024
+
+
 def write_timeseries_csv(path: str | Path, ts: TimeSeries) -> None:
     labels = ts.labels if ts.labels is not None else [f"x{j+1}" for j in range(ts.n)]
     times = _default_times(ts)
+    # csv.writer's default dialect: comma-separated, CRLF line ends; the
+    # 17-significant-digit cells never need quoting.
+    row_format = ",".join(["%.17g"] * (ts.n + 1)) + "\r\n"
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t"] + list(labels))
-        for k in range(ts.T):
-            writer.writerow(
-                [format_float(times[k])] + [format_float(v) for v in ts.values[k]]
-            )
+        csv.writer(handle).writerow(["t"] + list(labels))
+        for start in range(0, ts.T, _WRITE_BLOCK_ROWS):
+            stop = start + _WRITE_BLOCK_ROWS
+            block = np.column_stack((times[start:stop], ts.values[start:stop]))
+            handle.writelines(row_format % tuple(row) for row in block.tolist())
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
     """Read a time-series CSV; blank lines are skipped.
 
-    Raises ``ValueError`` naming ``path:line`` for a row whose field count
-    differs from the header's, a cell that does not parse as a float, and a
-    non-finite cell.
+    Raises ``ValueError`` naming ``path:line`` for a byte sequence that is not
+    UTF-8, a row whose field count differs from the header's, a cell that
+    does not parse as a float, and a non-finite cell.
     """
-    with Path(path).open("r", newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise ValueError(f"{path}: expected a header with a time column and data")
-        labels = [name.strip() for name in header[1:]]
-        line_numbers, rows = [], []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
+    try:
+        with Path(path).open("r", newline="", encoding="utf-8") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or len(header) < 2:
                 raise ValueError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                    f"got {len(row)}"
+                    f"{path}: expected a header with a time column and data"
                 )
-            try:
-                rows.append([float(v) for v in row])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-            line_numbers.append(reader.line_num)
+            labels = [name.strip() for name in header[1:]]
+            line_numbers, rows = [], []
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                        f"got {len(row)}"
+                    )
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                line_numbers.append(reader.line_num)
+    except UnicodeDecodeError:
+        raise _not_utf8_error(path) from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     table = np.array(rows)
@@ -90,6 +101,21 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
         if np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
             dt = float((times_arr[-1] - times_arr[0]) / (len(rows) - 1))
     return TimeSeries(values, dt=dt, labels=labels, times=times_arr)
+
+
+def _not_utf8_error(path: str | Path) -> ValueError:
+    """The error for a file that is not UTF-8, naming the line of its first bad byte.
+
+    The text stream decodes in blocks, so the offending line is found again
+    from the raw bytes; this runs only on the failure path.
+    """
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return ValueError(f"{path}:{line}: {exc}")
+    return ValueError(f"{path}: not UTF-8")  # the file changed between the reads
 
 
 def write_table_csv(path: str | Path, header: list[str], rows: list[list]) -> None:

@@ -117,7 +117,8 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     keeping the largest-magnitude coefficients (strictly above
     ``cfg.epsilon``, at least one, at most r) and re-solving the restricted
     subproblem by minimum-norm least squares. A column stops when its
-    max-norm update falls to ``cfg.delta`` or after ``cfg.max_iter`` passes.
+    max-norm update falls to ``cfg.delta`` or after ``cfg.max_iter`` passes;
+    a support the column has already solved reuses that solution.
 
     Every returned column x then has at most r nonzero entries and, on
     well-posed inputs, satisfies
@@ -176,9 +177,16 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         x = x_prev
         k = 0
         error = 1.0 + cfg.delta
+        # A support that cycles comes back in the same order, and its solve
+        # gives the same bits, so each ordered support is solved once.
+        solved: dict[bytes, np.ndarray] = {}
         while k < cfg.max_iter and error > cfg.delta:
             support = order[:n0]
-            coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
+            key = support.tobytes()
+            coeffs = solved.get(key)
+            if coeffs is None:
+                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
+                solved[key] = coeffs
             x = np.zeros(n)
             x[support] = coeffs
             error = float(np.max(np.abs(x - x_prev))) if n else 0.0

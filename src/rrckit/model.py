@@ -141,7 +141,7 @@ def train_rrc(
     system so each output row is fitted independently by the sparse solver.
 
     ``seed`` and ``nu`` (the randomized compression probe's seed and scale,
-    ``nu > 0``) are recorded provenance only: every probe that succeeds
+    finite ``nu > 0``) are recorded provenance only: every probe that succeeds
     reproduces the exact partition, so they do not affect the fit.
 
     Raises
@@ -152,8 +152,8 @@ def train_rrc(
     DimensionMismatchError
         If the series shapes disagree.
     """
-    if not nu > 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
+    if not (math.isfinite(nu) and nu > 0):
+        raise ValueError(f"nu must be finite and > 0, got {nu}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
@@ -303,7 +303,8 @@ def save_model(model: RRCModel, path: str | Path) -> None:
         "W_hat": {"rows": rows, "cols": cols, "triplets": triplets},
         "diagnostics": asdict(model.diagnostics),
     }
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    # allow_nan=False: Infinity and NaN are not JSON, so a file never holds them.
+    Path(path).write_text(json.dumps(doc, indent=1, allow_nan=False), encoding="utf-8")
 
 
 def load_model(path: str | Path) -> RRCModel:

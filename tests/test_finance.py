@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 import rrckit as rk
+from rrckit import finance
 from rrckit.errors import StepUnderflowError
-from rrckit.finance import integrate_ode, uniform_grid
+from rrckit.finance import financial_rhs, integrate_ode, uniform_grid
 
-from testutil import rk45_fixed
+from testutil import integrate_ode_per_sample, rk45_fixed
 
 
 class TestRhs:
@@ -100,3 +101,59 @@ class TestRegimes:
         assert len(peaks) >= 3
         for a, b in zip(peaks, peaks[1:]):
             assert abs(b - a) <= 0.05 * abs(a)
+
+
+def _rhs(params):
+    return lambda t, y: financial_rhs(y, params)
+
+
+def _step_ends(monkeypatch, rhs, y0, grid):
+    """Integrate once and return the ends of the steps that carry samples."""
+    seen = []
+
+    def recording_hermite(t, y, f, end, ts):
+        seen.append(t[end])
+        return hermite(t, y, f, end, ts)
+
+    hermite = finance._hermite
+    with monkeypatch.context() as patch:
+        patch.setattr(finance, "_hermite", recording_hermite)
+        integrate_ode(rhs, y0, grid)
+    return np.unique(np.concatenate(seen))
+
+
+class TestDenseOutputOracle:
+    """One vectorized dense-output pass equals per-sample interpolation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params, samples",
+        [(rk.CHAOTIC, 12000), (rk.PERIODIC, 12000), (rk.CHAOTIC, 2)],
+        ids=["chaotic", "periodic", "chaotic-2-samples"],
+    )
+    def test_orbit_matches_per_sample_oracle(self, params, samples):
+        grid = rk.SimulationGrid(t_end=120.0, samples=samples)
+        y0 = np.array([params.x0, params.y0, params.z0])
+        expected = integrate_ode_per_sample(_rhs(params), y0, grid)
+        assert np.array_equal(integrate_ode(_rhs(params), y0, grid), expected)
+
+    def test_sample_on_a_step_end(self, monkeypatch):
+        # The steps do not depend on the sample grid below t_end, so an interior
+        # step end s of a [0, 30] run is also a step end of a [0, 2s] run, whose
+        # three-sample grid puts its middle sample exactly on s.
+        rhs, y0 = _rhs(rk.CHAOTIC), np.array([2.0, 3.0, 2.0])
+        ends = _step_ends(monkeypatch, rhs, y0, rk.SimulationGrid(t_end=30.0, samples=3000))
+        s = float(ends[ends.size // 2])
+        grid = rk.SimulationGrid(t_end=2 * s, samples=3)
+        assert uniform_grid(grid.t_end, grid.samples)[1] == s
+        assert s in _step_ends(monkeypatch, rhs, y0, grid)
+        expected = integrate_ode_per_sample(rhs, y0, grid)
+        assert np.array_equal(integrate_ode(rhs, y0, grid), expected)
+
+    def test_step_underflow_unchanged(self):
+        grid = rk.SimulationGrid(t_end=2.0, samples=10)
+        messages = []
+        for integrator in (integrate_ode, integrate_ode_per_sample):
+            with pytest.raises(StepUnderflowError) as info:
+                integrator(lambda t, y: y * y, np.array([1.0]), grid)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]

@@ -1,5 +1,7 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,41 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.values, ts.values)
         assert back.labels == ["a", "b", "c"]
         assert back.dt == pytest.approx(0.25)
+
+    @pytest.mark.parametrize(
+        "ts",
+        [
+            rk.TimeSeries(
+                np.random.default_rng(81).standard_normal((2500, 3))
+                * 10.0 ** np.random.default_rng(82).integers(-300, 300, size=(2500, 3)),
+                labels=["a", "b b", 'c,"d"'],
+                times=np.linspace(-1.0, 7.0, 2500),
+            ),
+            rk.TimeSeries(np.array([0.0, -0.0, 5e-324, 1.0 / 3.0, -2.5e300]), dt=0.1),
+        ],
+        ids=["three-channels", "one-channel"],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, ts):
+        # The writer's own row format against csv.writer with one call per cell.
+        path, reference = tmp_path / "series.csv", tmp_path / "reference.csv"
+        write_timeseries_csv(path, ts)
+        labels = ts.labels or [f"x{j+1}" for j in range(ts.n)]
+        times = ts.times if ts.times is not None else np.arange(ts.T) * ts.dt
+        with reference.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["t"] + labels)
+            for k in range(ts.T):
+                writer.writerow([f"{float(v):.17g}" for v in [times[k], *ts.values[k]]])
+        data = path.read_bytes()
+        assert data == reference.read_bytes()
+        assert data.count(b"\r\n") == ts.T + 1
+
+    def test_non_utf8_error_names_path_and_line(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"t,x\r\n0,1\r\n1,\xff\r\n")
+        with pytest.raises(ValueError) as info:
+            read_timeseries_csv(path)
+        assert str(info.value).startswith(f"{path}:3: 'utf-8' codec can't decode byte 0xff")
 
     def test_error_line_counts_skipped_blank_lines(self, tmp_path):
         path = tmp_path / "gappy.csv"
@@ -321,11 +358,21 @@ def boundary_inputs(orbit_csv, tmp_path_factory):
         "ragged": _defect_csv(orbit_csv, d / "ragged.csv", 6, lambda c: c[:-1]),
         "abc": _defect_csv(orbit_csv, d / "abc.csv", 8, lambda c: c[:2] + ["abc"] + c[3:]),
         "nan": _defect_csv(orbit_csv, d / "nan.csv", 10, lambda c: c[:3] + ["nan"]),
+        "latin1": _non_utf8_csv(orbit_csv, d / "latin1.csv", 7),
     }
+
+
+def _non_utf8_csv(source, dest, line_no):
+    """Copy of source with byte 0xff (not UTF-8) leading line line_no."""
+    lines = source.read_bytes().splitlines(keepends=True)
+    lines[line_no - 1] = b"\xff" + lines[line_no - 1]
+    dest.write_bytes(b"".join(lines))
+    return dest
 
 
 _TRAIN = ["train", "--input", "{orbit}", "--lag", "2"]
 _FORECAST = ["forecast", "--model", "{model}", "--seed-data", "{orbit}", "--horizon", "5"]
+_EXPOSURE = ["exposure", "--remittances", "{remit}", "--deposits", "{deposits}", "--lagged"]
 
 # (case, argv, fragment of the stderr line). Every case is a usage error (exit 2);
 # "{out}" is a writable path and "{missing}" a directory that does not exist.
@@ -337,9 +384,8 @@ BOUNDARY_CASES = [
      "No such file or directory"),
     ("forecast-out-in-missing-dir", _FORECAST + ["--out", "{missing}/o.csv"],
      "No such file or directory"),
-    ("exposure-out-in-missing-dir",
-     ["exposure", "--remittances", "{remit}", "--deposits", "{deposits}", "--lagged",
-      "--out", "{missing}/o.csv"], "No such file or directory"),
+    ("exposure-out-in-missing-dir", _EXPOSURE + ["--out", "{missing}/o.csv"],
+     "No such file or directory"),
     ("input-is-directory", ["train", "--input", "{directory}", "--lag", "2",
                             "--out", "{out}"], "Is a directory"),
     ("model-is-directory", ["forecast", "--model", "{directory}", "--seed-data",
@@ -362,6 +408,15 @@ BOUNDARY_CASES = [
      "abc.csv:8: could not convert string to float: 'abc'"),
     ("non-finite-cell", ["train", "--input", "{nan}", "--lag", "2", "--out", "{out}"],
      "nan.csv:10: non-finite value nan in column 'x3'"),
+    ("non-utf8-input", ["suggest-lag", "--input", "{latin1}"],
+     "latin1.csv:7: 'utf-8' codec can't decode byte 0xff"),
+    ("nu-inf", _TRAIN + ["--nu", "inf", "--out", "{out}"], "nu must be finite"),
+    ("exposure-adjacency-out-in-missing-dir",
+     _EXPOSURE + ["--out", "{out}", "--adjacency-out", "{missing}/a.csv"],
+     "No such file or directory"),
+    ("exposure-fitted-out-in-missing-dir",
+     _EXPOSURE + ["--out", "{out}", "--fitted-out", "{missing}/f.csv"],
+     "No such file or directory"),
 ]
 
 

@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 import rrckit as rk
+from rrckit import linalg
+from rrckit.embedding import monomial_features, paired_windows
 from rrckit.errors import DimensionMismatchError, RankZeroError
 from testutil import (
     matrix_with_spectrum,
     residual_certificate,
+    sparse_lstsq_per_pass,
     straddling_spectrum,
     truncated_projector,
 )
@@ -256,3 +259,63 @@ class TestSparseLstsq:
         # NaN passes an `epsilon < 0` test and would keep every coefficient
         with pytest.raises(ValueError, match="epsilon"):
             rk.SolverConfig(delta=1e-8, epsilon=epsilon)
+
+
+def _solve_counting(monkeypatch, A, Y, cfg):
+    """Solve with the package solver; returns (solution, restricted solves made)."""
+    calls = []
+    solve = linalg._minimum_norm_lstsq
+
+    def counting(A_sub, y):
+        calls.append(A_sub.shape)
+        return solve(A_sub, y)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_minimum_norm_lstsq", counting)
+        return rk.sparse_lstsq(A, Y, cfg), len(calls)
+
+
+def _assert_matches_per_pass_oracle(monkeypatch, A, Y, cfg):
+    """Bit-equal to solving every pass, with one solve per distinct support.
+
+    Returns (restricted solves made, passes run)."""
+    sol, solves = _solve_counting(monkeypatch, A, Y, cfg)
+    oracle = sparse_lstsq_per_pass(A, Y, cfg)
+    assert np.array_equal(sol.X, oracle.X)
+    assert sol.iterations_per_column == oracle.iterations
+    assert sol.residual_norms == oracle.residuals
+    assert solves == sum(len(set(column)) for column in oracle.supports)
+    return solves, sum(oracle.iterations)
+
+
+@pytest.fixture(scope="module")
+def chaotic_orbit():
+    return rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=120.0, samples=12000)).values
+
+
+class TestSolverMemo:
+    """A support a column has solved before is reused, never solved again."""
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_chaotic_fit_matches_per_pass_oracle(self, monkeypatch, chaotic_orbit, p):
+        # The paper's system: first 6000 samples, L = 3, delta = epsilon = 1e-8.
+        x = rk.TimeSeries(chaotic_orbit[:5999])
+        y = rk.TimeSeries(chaotic_orbit[1:6000])
+        Xw, H1 = paired_windows(x, y, 3)
+        G = monomial_features(Xw, p)
+        cfg = rk.SolverConfig(delta=1e-8, epsilon=1e-8)
+        solves, passes = _assert_matches_per_pass_oracle(monkeypatch, G.T, H1.T, cfg)
+        if p == 3:  # columns that cycle until the cap
+            assert solves < passes
+
+    def test_random_systems_match_per_pass_oracle(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        for _ in range(20):
+            m = int(rng.integers(4, 30))
+            n = int(rng.integers(4, 30))
+            k = min(m, n)
+            r = int(rng.integers(1, k))
+            A = matrix_with_spectrum(rng, m, n, straddling_spectrum(rng, k, 1e-2, r))
+            Y = rng.standard_normal((m, 3))
+            cfg = rk.SolverConfig(delta=1e-2, epsilon=1e-3, max_iter=20)
+            _assert_matches_per_pass_oracle(monkeypatch, A, Y, cfg)

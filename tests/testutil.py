@@ -9,8 +9,10 @@ import numpy as np
 import rrckit as rk
 from rrckit.compression import compress
 from rrckit.embedding import build_data_matrices
-from rrckit.errors import RankZeroError
+from rrckit import finance
+from rrckit.errors import RankZeroError, StepUnderflowError
 from rrckit.finance import _rk_step
+from rrckit.linalg import SolverConfig
 from rrckit.model import RRCModel
 
 
@@ -140,3 +142,124 @@ def rk45_fixed(
         y, _ = _rk_step(rhs, t, y, h, rhs(t, y))
         t += h
     return y
+
+
+def integrate_ode_per_sample(
+    rhs: Callable[[float, np.ndarray], np.ndarray],
+    y0: np.ndarray,
+    grid: rk.SimulationGrid,
+) -> np.ndarray:
+    """Oracle for ``integrate_ode``: dense output evaluated one sample at a time.
+
+    The same step loop, with each grid sample interpolated inside the loop as
+    soon as an accepted step ends at or after it.
+    """
+    y0 = np.asarray(y0, dtype=float)
+    times = finance.uniform_grid(grid.t_end, grid.samples)
+    out = np.empty((grid.samples, y0.size))
+    out[0] = y0
+    next_sample = 1
+
+    t = 0.0
+    y = y0.copy()
+    f = rhs(t, y)
+    sc = grid.atol + grid.rtol * np.abs(y)
+    d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
+    h = 0.01 * d0 / d1 if d1 > 1e-300 else grid.t_end / 1000.0
+    h = min(max(h, finance._STEP_FLOOR * grid.t_end * 10), grid.t_end)
+
+    floor = finance._STEP_FLOOR * grid.t_end
+    while t < grid.t_end:
+        if h < floor:
+            raise StepUnderflowError(
+                f"step {h:.3e} fell below {floor:.3e} at t = {t:.6g}"
+            )
+        clipped = h >= grid.t_end - t
+        h = min(h, grid.t_end - t)
+        y_new, err = _rk_step(rhs, t, y, h, f)
+        sc = grid.atol + grid.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
+        if err_norm <= 1.0:
+            t_new = grid.t_end if clipped else t + h
+            f_new = rhs(t_new, y_new)
+            while next_sample < grid.samples and times[next_sample] <= t_new:
+                step = t_new - t
+                tau = (times[next_sample : next_sample + 1] - t) / step
+                h00 = (1 + 2 * tau) * (1 - tau) ** 2
+                h10 = tau * (1 - tau) ** 2
+                h01 = tau * tau * (3 - 2 * tau)
+                h11 = tau * tau * (tau - 1)
+                out[next_sample] = (
+                    np.outer(h00, y)
+                    + np.outer(h10, step * f)
+                    + np.outer(h01, y_new)
+                    + np.outer(h11, step * f_new)
+                )[0]
+                next_sample += 1
+            t, y, f = t_new, y_new, f_new
+            factor = (
+                finance._MAX_FACTOR
+                if err_norm == 0.0
+                else min(finance._MAX_FACTOR, finance._SAFETY * err_norm ** -0.2)
+            )
+            h *= max(finance._MIN_FACTOR, factor)
+        else:
+            h *= max(finance._MIN_FACTOR, finance._SAFETY * err_norm ** -0.2)
+    return out
+
+
+class PerPassSolution(NamedTuple):
+    X: np.ndarray
+    iterations: list[int]
+    residuals: list[float]
+    supports: list[list[bytes]]  # per column, the ordered support of every pass
+
+
+def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> PerPassSolution:
+    """Oracle for ``sparse_lstsq``: every refinement pass solves its support afresh.
+
+    Records the ordered support of each pass, so a test can count the
+    distinct restricted subproblems of each column.
+    """
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    n = A.shape[1]
+    U, S, V = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(S > cfg.delta))
+    Ur = U[:, :r]
+    A_hat = Ur.T @ A
+    Y_hat = Ur.T @ Y
+    X0 = V[:r].T @ (Y_hat / S[:r, None])
+
+    def support_size(magnitudes: np.ndarray) -> int:
+        return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
+
+    X = np.zeros((n, Y.shape[1]))
+    iterations, residuals, supports = [], [], []
+    for j in range(Y.shape[1]):
+        x_prev = X0[:, j].copy()
+        order = np.argsort(-np.abs(x_prev), kind="stable")
+        n0 = support_size(np.abs(x_prev))
+        x = x_prev
+        k = 0
+        error = 1.0 + cfg.delta
+        passes = []
+        while k < cfg.max_iter and error > cfg.delta:
+            support = order[:n0]
+            passes.append(support.tobytes())
+            coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=None)[0]
+            x = np.zeros(n)
+            x[support] = coeffs
+            error = float(np.max(np.abs(x - x_prev))) if n else 0.0
+            x_prev = x
+            order = np.argsort(-np.abs(x), kind="stable")
+            n0 = support_size(np.abs(x))
+            k += 1
+        X[:, j] = x
+        iterations.append(k)
+        residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
+        supports.append(passes)
+    return PerPassSolution(X, iterations, residuals, supports)
