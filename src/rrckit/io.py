@@ -8,6 +8,8 @@ significant digits, which round-trips float64 exactly.
 from __future__ import annotations
 
 import csv
+import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,46 +63,79 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
     """
     try:
         with Path(path).open("r", newline="", encoding="utf-8") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
+            header = next(csv.reader(handle), None)
             if header is None or len(header) < 2:
                 raise ValueError(
                     f"{path}: expected a header with a time column and data"
                 )
-            labels = [name.strip() for name in header[1:]]
-            line_numbers, rows = [], []
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                        f"got {len(row)}"
-                    )
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-                line_numbers.append(reader.line_num)
+            table = _parse_rows(handle, len(header))
+            if table is None:
+                raise _row_error(path, header)
     except UnicodeDecodeError:
         raise _not_utf8_error(path) from None
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.array(rows)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        k, j = bad[0]
-        raise ValueError(
-            f"{path}:{line_numbers[k]}: non-finite value {table[k, j]} in column {header[j]!r}"
-        )
+    labels = [name.strip() for name in header[1:]]
     times_arr = np.ascontiguousarray(table[:, 0])
     values = np.ascontiguousarray(table[:, 1:])
     dt = None
-    if len(rows) > 1:
+    if len(table) > 1:
         diffs = np.diff(times_arr)
         if np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-            dt = float((times_arr[-1] - times_arr[0]) / (len(rows) - 1))
+            dt = float((times_arr[-1] - times_arr[0]) / (len(table) - 1))
     return TimeSeries(values, dt=dt, labels=labels, times=times_arr)
+
+
+def _parse_rows(handle, fields: int) -> np.ndarray | None:
+    """The rows after the header as one finite (rows, fields) table, else None."""
+    with warnings.catch_warnings():
+        # An empty body is reported by :func:`_row_error`, with the path.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            table = np.loadtxt(
+                handle, delimiter=",", comments=None, quotechar='"', ndmin=2
+            )
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            return None
+    if table.shape[0] and table.shape[1] == fields and np.all(np.isfinite(table)):
+        return table
+    return None
+
+
+def _row_error(path: str | Path, header: list[str]) -> ValueError:
+    """The error for rows :func:`_parse_rows` rejected or that hold a non-finite cell.
+
+    Re-reads the rows with ``csv`` to name the line: the first row of the
+    wrong length or with a cell ``float`` rejects, else the first non-finite
+    cell. This runs only on the failure path.
+    """
+    rows, line_numbers = [], []
+    with Path(path).open("r", newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                return ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                return ValueError(f"{path}:{reader.line_num}: {exc}")
+            line_numbers.append(reader.line_num)
+    for line, row in zip(line_numbers, rows):
+        for name, value in zip(header, row):
+            if not math.isfinite(value):
+                return ValueError(
+                    f"{path}:{line}: non-finite value {value} in column {name!r}"
+                )
+    if not rows:
+        return ValueError(f"{path}: no data rows")
+    # float() reads a few spellings np.loadtxt does not, such as "1_000".
+    return ValueError(f"{path}: a cell is not a plain decimal number")
 
 
 def _not_utf8_error(path: str | Path) -> ValueError:

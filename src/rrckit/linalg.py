@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,10 +103,47 @@ def rank_delta(A: np.ndarray, delta: float) -> int:
     return int(np.sum(S > delta))
 
 
-def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # SVD-backed minimum-norm least squares; deterministic on rank-deficient
-    # subproblems, which magnitude-restricted supports routinely produce.
-    return np.linalg.lstsq(A, y, rcond=None)[0]
+def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray, rcond: float) -> np.ndarray:
+    # SVD-backed minimum-norm least squares; singular values at or below
+    # rcond times the largest are dropped, so nearly singular supports, which
+    # magnitude-restricted solves routinely produce, stay deterministic.
+    return np.linalg.lstsq(A, y, rcond=rcond)[0]
+
+
+class _Projection(NamedTuple):
+    """A system A X = Y projected onto A's top-r left singular subspace."""
+
+    S: np.ndarray         # (k,) singular values of A, descending; k = min(m, n)
+    V: np.ndarray         # (k, n) right singular vectors of A, as rows
+    A_hat: np.ndarray     # (r, n) U_r^T A
+    Y_hat: np.ndarray     # (r, p) U_r^T Y
+    deflated: np.ndarray  # (p,) ||(I - U_r U_r^T) y_j||
+
+
+def _truncated_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projection:
+    """Project A X = Y onto the left singular vectors of A above delta.
+
+    One Householder QR of the augmented [A | Y] gives A = Q R and
+    Q^T Y = [C; R22] with Q's columns orthonormal. The SVD of the small
+    R = Ur diag(S) V then holds A's singular values and right vectors, and
+    U = Q Ur, so every projection follows from R, C and R22 without Q or U
+    being formed. This is the tall-matrix SVD's own first step, done once.
+    """
+    m, n = A.shape
+    k = min(m, n)
+    T = np.linalg.qr(np.hstack([A, Y]), mode="r")
+    R, C, R22 = T[:k, :n], T[:k, n:], T[k:, n:]
+    Ur, S, V = np.linalg.svd(R, full_matrices=False)
+    r = int(np.sum(S > delta))
+    if r == 0:
+        raise RankZeroError(
+            f"rank_delta(A, {delta:g}) = 0: no singular value exceeds the threshold"
+        )
+    Ur = Ur[:, :r]
+    Y_hat = Ur.T @ C
+    # (I - U_r U_r^T) Y = Q [C - Ur Y_hat; R22], and Q keeps norms.
+    deflated = np.linalg.norm(np.vstack([C - Ur @ Y_hat, R22]), axis=0)
+    return _Projection(S=S, V=V, A_hat=Ur.T @ R, Y_hat=Y_hat, deflated=deflated)
 
 
 def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolution:
@@ -119,6 +157,14 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     subproblem by minimum-norm least squares. A column stops when its
     max-norm update falls to ``cfg.delta`` or after ``cfg.max_iter`` passes;
     a support the column has already solved reuses that solution.
+
+    The restricted solves cut at the rank decision's relative threshold:
+    singular values of a restricted matrix at or below ``cfg.delta / S[0]``
+    times its largest are dropped, S[0] being A's largest. That matrix is
+    made of columns of the projected system, whose norm is S[0], so the
+    absolute cut never exceeds ``cfg.delta``: a restricted solve keeps every
+    direction the rank keeps, and nearly singular supports no longer turn
+    rounding into coefficients.
 
     Every returned column x then has at most r nonzero entries and, on
     well-posed inputs, satisfies
@@ -151,17 +197,10 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         )
     p = Y.shape[1]
 
-    U, S, V = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(S > cfg.delta))
-    if r == 0:
-        raise RankZeroError(
-            f"rank_delta(A, {cfg.delta:g}) = 0: no singular value exceeds the threshold"
-        )
-
-    Ur = U[:, :r]
-    A_hat = Ur.T @ A                      # (r, n) projected system
-    Y_hat = Ur.T @ Y                      # (r, p)
+    S, V, A_hat, Y_hat, deflated = _truncated_projection(A, Y, cfg.delta)
+    r = A_hat.shape[0]
     X0 = V[:r].T @ (Y_hat / S[:r, None])  # truncated-pinv start
+    rcond = cfg.delta / S[0]
 
     def support_size(magnitudes: np.ndarray) -> int:
         # At least one column is always kept; at most r can carry signal.
@@ -185,7 +224,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
             key = support.tobytes()
             coeffs = solved.get(key)
             if coeffs is None:
-                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
+                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j], rcond)
                 solved[key] = coeffs
             x = np.zeros(n)
             x[support] = coeffs
@@ -200,9 +239,8 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
 
     s_nm = float(np.sqrt(r * (min(m, n) - r)))
-    deflated = Y - Ur @ Y_hat             # (I - Q) Y without forming Q
     bounds = [
-        float(np.linalg.norm(X[:, j]) * s_nm * cfg.delta + np.linalg.norm(deflated[:, j]))
+        float(np.linalg.norm(X[:, j]) * s_nm * cfg.delta + deflated[j])
         for j in range(p)
     ]
     return SparseSolution(

@@ -152,25 +152,86 @@ def train_rrc(
     DimensionMismatchError
         If the series shapes disagree.
     """
+    Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
+    G = monomial_features(Xw, cfg.p)      # (rho, cols)
+    W_hat = np.zeros((H1.shape[0], G.shape[0]))
+    return _fit(x, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver,
+                seed, nu, selector_offset)
+
+
+def train_autoregressive(
+    x: TimeSeries,
+    cfg: EmbeddingConfig,
+    solver: SolverConfig,
+    seed: int = 0,
+    nu: float = 1.0,
+    selector_offset: int | None = None,
+) -> RRCModel:
+    """Train on one-step-ahead targets: pair each sample with its successor.
+
+    Only the newest slot of each channel block carries a new sample. Every
+    other target row is the next input slot, so its row of W_hat is written
+    exactly, a single 1.0 on that slot's linear monomial (the linear
+    monomials come first, in slot order), and the solver fits the n newest
+    rows alone.
+    """
+    if x.T < cfg.L + 1:
+        raise ValueError(
+            f"autoregressive training needs at least L + 1 = {cfg.L + 1} samples, got {x.T}"
+        )
+    x_in = TimeSeries(x.values[:-1], dt=x.dt, labels=x.labels)
+    y_out = TimeSeries(x.values[1:], dt=x.dt, labels=x.labels)
+    Xw, H1 = paired_windows(x_in, y_out, cfg.L)
+    G = monomial_features(Xw, cfg.p)
+    # Row i copies slot i + 1: a 1.0 on its linear monomial, G's row i + 1.
+    # The newest rows' entries are overwritten by the fit.
+    W_hat = np.eye(H1.shape[0], G.shape[0], k=1)
+    newest = np.arange(x.n) * cfg.L + (cfg.L - 1)
+    return _fit(x_in, G, H1, W_hat, newest, cfg, solver, seed, nu, selector_offset)
+
+
+def _fit(
+    x: TimeSeries,
+    G: np.ndarray,
+    H1: np.ndarray,
+    W_hat: np.ndarray,
+    rows: np.ndarray,
+    cfg: EmbeddingConfig,
+    solver: SolverConfig,
+    seed: int,
+    nu: float,
+    selector_offset: int | None,
+) -> RRCModel:
+    """Solve the given rows of W_hat G = H1 into W_hat; its other rows are exact.
+
+    An exact row, a single 1.0 at column j, reproduces its target, the
+    feature row G[j], so its residual is 0. Its certificate in
+    :func:`sparse_lstsq`'s terms, sqrt(r*(k-r))*delta + ||(I - Q) G[j]||
+    with k = min(G.shape), is recorded as (sqrt(r*(k-r)) + 1) * delta: the
+    rank rule leaves ||(I - Q) G[j]|| <= delta.
+    """
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and > 0, got {nu}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
-    G = monomial_features(Xw, cfg.p)      # (rho, cols)
-    solution = sparse_lstsq(G.T, H1.T, solver)
-    # C-contiguous so matvecs match a reloaded model bit for bit.
-    W_hat = np.ascontiguousarray(solution.X.T)  # (nL, rho)
+    solution = sparse_lstsq(G.T, H1[rows].T, solver)
+    W_hat[rows] = solution.X.T  # W_hat stays C-contiguous, as a reloaded model is
 
-    residual_fro = float(np.linalg.norm(W_hat @ G - H1))
+    residual = W_hat @ G - H1
+    column_residuals = np.linalg.norm(residual, axis=1)
+    column_residuals[rows] = solution.residual_norms
+    r, k = solution.rank, min(G.shape)
+    column_bounds = np.full(len(H1), (math.sqrt(r * (k - r)) + 1.0) * solver.delta)
+    column_bounds[rows] = solution.column_bounds
+    residual_fro = float(np.linalg.norm(residual))
     h1_norm = float(np.linalg.norm(H1))
     diagnostics = TrainingDiagnostics(
         rank=solution.rank,
         nnz=int(np.count_nonzero(W_hat)),
         residual_fro=residual_fro,
         relative_residual=residual_fro / h1_norm if h1_norm > 0 else 0.0,
-        column_residuals=[float(v) for v in solution.residual_norms],
-        column_bounds=solution.column_bounds,
+        column_residuals=column_residuals.tolist(),
+        column_bounds=column_bounds.tolist(),
         train_min=[float(v) for v in x.values.min(axis=0)],
         train_max=[float(v) for v in x.values.max(axis=0)],
         delta=solver.delta,
@@ -187,23 +248,6 @@ def train_rrc(
         W_hat=W_hat,
         diagnostics=diagnostics,
     )
-
-
-def train_autoregressive(
-    x: TimeSeries,
-    cfg: EmbeddingConfig,
-    solver: SolverConfig,
-    seed: int = 0,
-    **kwargs,
-) -> RRCModel:
-    """Train on one-step-ahead targets: pair each sample with its successor."""
-    if x.T < cfg.L + 1:
-        raise ValueError(
-            f"autoregressive training needs at least L + 1 = {cfg.L + 1} samples, got {x.T}"
-        )
-    x_in = TimeSeries(x.values[:-1], dt=x.dt, labels=x.labels)
-    y_out = TimeSeries(x.values[1:], dt=x.dt, labels=x.labels)
-    return train_rrc(x_in, y_out, cfg, solver, seed=seed, **kwargs)
 
 
 def transform(model: RRCModel, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,8 +364,10 @@ def load_model(path: str | Path) -> RRCModel:
         If the schema version is unsupported.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc = json.loads(
+            Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant
+        )
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
         raise ModelFormatError(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_MARKER:
         raise ModelFormatError("missing or wrong format marker")
@@ -336,9 +382,61 @@ def load_model(path: str | Path) -> RRCModel:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 
+def _reject_constant(name: str):
+    # Python's json reads Infinity and NaN, which are not JSON.
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _require(ok, message: str) -> None:
     if not ok:
         raise ModelFormatError(message)
+
+
+def _is_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _nonneg_numbers(v) -> bool:
+    return all(_is_number(x) and x >= 0 for x in v)
+
+
+# Diagnostics field -> (test of its value, what the test asks for). Lists
+# have their lengths checked against the model separately.
+_DIAGNOSTIC_CHECKS = {
+    "rank": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "nnz": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "residual_fro": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "relative_residual": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "column_residuals": (_nonneg_numbers, "finite numbers >= 0"),
+    "column_bounds": (_nonneg_numbers, "finite numbers >= 0"),
+    "train_min": (lambda v: all(map(_is_number, v)), "finite numbers"),
+    "train_max": (lambda v: all(map(_is_number, v)), "finite numbers"),
+    "delta": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "epsilon": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
+    "max_iter": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
+    "nu": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
+    "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
+    "rng_name": (lambda v: type(v) is str, "a string"),
+}
+
+
+def _diagnostics_from_doc(fields: dict, W_hat: np.ndarray, n: int) -> TrainingDiagnostics:
+    diagnostics = TrainingDiagnostics(**fields)  # a missing or extra key: TypeError
+    lengths = {"column_residuals": W_hat.shape[0], "column_bounds": W_hat.shape[0],
+               "train_min": n, "train_max": n}
+    for name, (valid, wanted) in _DIAGNOSTIC_CHECKS.items():
+        value = getattr(diagnostics, name)
+        if name in lengths:
+            _require(type(value) is list and len(value) == lengths[name],
+                     f"diagnostics {name} must hold {lengths[name]} values")
+        _require(valid(value), f"diagnostics {name} must be {wanted}, got {value!r}")
+    _require(diagnostics.rank <= W_hat.shape[1],
+             f"diagnostics rank {diagnostics.rank} exceeds the {W_hat.shape[1]} features")
+    _require(diagnostics.nnz == np.count_nonzero(W_hat),
+             f"diagnostics nnz {diagnostics.nnz} differs from W_hat's nonzeros")
+    _require(all(lo <= hi for lo, hi in zip(diagnostics.train_min, diagnostics.train_max)),
+             "diagnostics train_min exceeds train_max")
+    return diagnostics
 
 
 def _model_from_doc(doc: dict) -> RRCModel:
@@ -374,18 +472,11 @@ def _model_from_doc(doc: dict) -> RRCModel:
     W_hat = np.zeros(shape)
     W_hat[index[:, 0].astype(int), index[:, 1].astype(int)] = triplets[:, 2]
 
-    diagnostics = TrainingDiagnostics(**doc["diagnostics"])
-    for name in ("train_min", "train_max"):
-        values = np.asarray(getattr(diagnostics, name), dtype=float)
-        _require(
-            values.shape == (n,) and np.all(np.isfinite(values)),
-            f"diagnostics {name} must hold {n} finite values",
-        )
     return RRCModel(
         n=n,
         L=L,
         p=p,
         selector_offset=doc["selector_offset"],
         W_hat=W_hat,
-        diagnostics=diagnostics,
+        diagnostics=_diagnostics_from_doc(doc["diagnostics"], W_hat, n),
     )

@@ -70,6 +70,40 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"gappy\.csv:5: non-finite value inf in column 'x'"):
             read_timeseries_csv(path)
 
+    def test_values_match_per_cell_float(self, tmp_path):
+        # np.loadtxt against Python's float() on every cell, the parse the
+        # reader's error path still uses; short and hand-written spellings too.
+        rng = np.random.default_rng(83)
+        cells = [
+            f"{v:.17g}" for v in rng.standard_normal(600) * 10.0 ** rng.integers(-300, 300, 600)
+        ] + [f"{v:.5f}" for v in rng.standard_normal(300)] + [
+            "1e5", "-0", "+1.5", " 2.25 ", "5e-324", "1.7976931348623157e308", '"3.5"',
+        ] * 3
+        path = tmp_path / "cells.csv"
+        rows = [f"{k},{a},{b}" for k, (a, b) in enumerate(zip(cells[::2], cells[1::2]))]
+        path.write_text("t,a,b\n" + "\n".join(rows) + "\n")
+        with path.open(newline="") as handle:
+            reference = np.array([[float(v) for v in row] for row in list(csv.reader(handle))[1:]])
+        back = read_timeseries_csv(path)
+        assert np.array_equal(back.times, reference[:, 0])
+        assert np.array_equal(back.values, reference[:, 1:])
+        assert np.array_equal(np.signbit(back.values), np.signbit(reference[:, 1:]))
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_no_data_rows_without_warning(self, tmp_path, recwarn, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("t,x\n" + body)
+        with pytest.raises(ValueError, match=r"empty\.csv: no data rows"):
+            read_timeseries_csv(path)
+        assert not recwarn.list
+
+    def test_digit_separator_fails_cleanly(self, tmp_path):
+        # float() reads "1_000"; the table parser does not, and says so.
+        path = tmp_path / "sep.csv"
+        path.write_text("t,x\n0,1\n1,1_000\n")
+        with pytest.raises(ValueError, match=r"sep\.csv: a cell is not a plain decimal number"):
+            read_timeseries_csv(path)
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")

@@ -14,6 +14,7 @@ from testutil import (
     residual_certificate,
     sparse_lstsq_per_pass,
     straddling_spectrum,
+    tall_svd_projection,
     truncated_projector,
 )
 
@@ -261,14 +262,55 @@ class TestSparseLstsq:
             rk.SolverConfig(delta=1e-8, epsilon=epsilon)
 
 
+class TestThinQRProjection:
+    """The solver's QR-of-[A | Y] projection against the tall SVD of A."""
+
+    # (m, n, p): tall, tall with m < n + p, square, wide.
+    SHAPES = [(40, 12, 3), (13, 12, 3), (12, 12, 2), (7, 15, 3)]
+
+    @pytest.mark.parametrize("m, n, p", SHAPES)
+    def test_matches_tall_svd_oracle(self, m, n, p):
+        rng = np.random.default_rng(39 + m + n)
+        delta = 1e-3
+        k = min(m, n)
+        for r in range(1, k):
+            A = matrix_with_spectrum(rng, m, n, straddling_spectrum(rng, k, delta, r))
+            Y = rng.standard_normal((m, p))
+            got = linalg._truncated_projection(A, Y, delta)
+            want = tall_svd_projection(A, Y, delta)
+            assert got.A_hat.shape[0] == want.A_hat.shape[0] == r
+            np.testing.assert_allclose(got.S, want.S, rtol=0, atol=1e-12 * want.S[0])
+            sol = rk.sparse_lstsq(A, Y, rk.SolverConfig(delta=delta, epsilon=1e-6))
+            s_nm = np.sqrt(r * (k - r))
+            expected = np.linalg.norm(sol.X, axis=0) * s_nm * delta + want.deflated
+            np.testing.assert_allclose(sol.column_bounds, expected, rtol=1e-8, atol=0)
+            # The truncated-pinv start does not depend on singular-vector signs.
+            starts = [
+                f.V[:r].T @ (f.Y_hat / f.S[:r, None]) for f in (got, want)
+            ]
+            np.testing.assert_allclose(*starts, rtol=0, atol=1e-8 * np.abs(starts[1]).max())
+
+    def test_exactly_rank_deficient(self):
+        # Exact zero singular values: duplicated columns and an all-zero one.
+        rng = np.random.default_rng(40)
+        B = rng.standard_normal((30, 4))
+        A = np.hstack([B, B[:, :2], np.zeros((30, 1))])
+        Y = rng.standard_normal((30, 2))
+        got = linalg._truncated_projection(A, Y, 1e-8)
+        want = tall_svd_projection(A, Y, 1e-8)
+        assert got.A_hat.shape[0] == want.A_hat.shape[0] == 4
+        np.testing.assert_allclose(got.S, want.S, rtol=0, atol=1e-12 * want.S[0])
+        np.testing.assert_allclose(got.deflated, want.deflated, rtol=1e-8)
+
+
 def _solve_counting(monkeypatch, A, Y, cfg):
     """Solve with the package solver; returns (solution, restricted solves made)."""
     calls = []
     solve = linalg._minimum_norm_lstsq
 
-    def counting(A_sub, y):
+    def counting(A_sub, y, rcond):
         calls.append(A_sub.shape)
-        return solve(A_sub, y)
+        return solve(A_sub, y, rcond)
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_minimum_norm_lstsq", counting)

@@ -20,6 +20,7 @@ from testutil import (
     bounded_orbit,
     dense_solvent,
     linear_orbit,
+    residual_certificate,
     stable_linear_system,
 )
 
@@ -149,6 +150,101 @@ class TestDistinctMonomialPath:
             self.fit(orbit, nu=0.0)
         with pytest.raises(ValueError):
             self.fit(orbit, seed=-1)
+
+
+@pytest.fixture(scope="module")
+def chaotic_orbit():
+    return rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=120.0, samples=12000))
+
+
+class TestShiftRows:
+    """Autoregressive fits write shift rows exactly and solve the newest rows."""
+
+    @pytest.mark.parametrize("n, L, p", [(3, 3, 2), (2, 3, 3), (1, 4, 2)])
+    def test_shift_rows_are_exact(self, n, L, p):
+        orbit = bounded_orbit(np.random.default_rng(62 + L + p), n, 90)
+        model = rk.train_autoregressive(
+            rk.TimeSeries(orbit), rk.EmbeddingConfig(L=L, p=p),
+            rk.SolverConfig(delta=1e-8, epsilon=1e-8), seed=0,
+        )
+        _, G, H1 = dense_solvent(
+            model, rk.TimeSeries(orbit[:-1]), rk.TimeSeries(orbit[1:])
+        )
+        residual = model.W_hat @ G - H1
+        diag = model.diagnostics
+        shift = [i for i in range(n * L) if i not in model.selector_indices]
+        assert len(shift) == n * (L - 1)
+        for i in shift:
+            assert np.flatnonzero(model.W_hat[i]).tolist() == [i + 1]
+            assert model.W_hat[i, i + 1] == 1.0
+            assert np.all(residual[i] == 0.0)
+            assert diag.column_residuals[i] == 0.0 <= diag.column_bounds[i]
+            # The recorded bound covers the row's own certificate.
+            cert = residual_certificate(G.T, H1[i], model.W_hat[i], diag.delta)
+            assert 0.0 < cert <= diag.column_bounds[i]
+
+    def test_p3_fit_factors_once_and_svds_only_rho_square(self, monkeypatch, chaotic_orbit):
+        calls = {"svd": [], "qr": []}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(a, *args, _real=real, _name=name, **kwargs):
+                calls[_name].append(np.shape(a))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        model = rk.train_autoregressive(
+            rk.TimeSeries(chaotic_orbit.values[:6000]), rk.EmbeddingConfig(L=3, p=3),
+            rk.SolverConfig(delta=1e-8, epsilon=1e-8), seed=0,
+        )
+        rho = model.W_hat.shape[1]
+        assert rho == 220
+        # 5999 - 3 + 1 windows; rho features and the n newest-slot targets.
+        assert calls["qr"] == [(5997, rho + 3)]
+        assert calls["svd"] == [(rho, rho)]
+
+    def test_only_target_fits_solve_every_row(self, monkeypatch):
+        solved = []
+        real = rk.model.sparse_lstsq
+
+        def recording(A, Y, cfg):
+            solved.append(Y.shape[1])
+            return real(A, Y, cfg)
+
+        monkeypatch.setattr(rk.model, "sparse_lstsq", recording)
+        orbit = bounded_orbit(np.random.default_rng(63), 2, 90)
+        cfg = rk.EmbeddingConfig(L=3, p=2)
+        solver = rk.SolverConfig(delta=1e-8, epsilon=1e-8)
+        rk.train_autoregressive(rk.TimeSeries(orbit), cfg, solver)
+        rk.train_rrc(rk.TimeSeries(orbit[:-1]), rk.TimeSeries(orbit[1:]), cfg, solver)
+        assert solved == [2, 6]
+
+
+def test_readme_p2_model_held_out_rollouts(chaotic_orbit):
+    """The README's chaotic p=2 model rolls out from held-out windows.
+
+    40 windows ending at seeded sample counts past the 6000 training samples,
+    1000 steps each; a rollout counts when the guard stays silent and it
+    stays within twice the training range (criterion 7(b)'s rule). The floor
+    is the count measured when the restricted solves got their cutoff.
+    """
+    series = chaotic_orbit
+    train = rk.TimeSeries(series.values[:6000], dt=series.dt)
+    model = rk.train_autoregressive(
+        train, rk.EmbeddingConfig(L=3, p=2),
+        rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50), seed=42,
+    )
+    lo, hi = train.values.min(axis=0), train.values.max(axis=0)
+    center, half = (lo + hi) / 2, (hi - lo) / 2
+    completed = 0
+    for end in np.random.default_rng(0).integers(6000, 11000, 40):
+        window = rk.delay_embed(series, model.L, int(end))
+        try:
+            rollout = rk.forecast(model, window, 1000)
+        except NumericBlowupError:
+            continue
+        completed += bool(np.all(np.abs(rollout.values - center) <= 2 * half))
+    assert completed >= 39
 
 
 class TestSelector:
@@ -371,6 +467,21 @@ MODEL_DEFECTS = {
     "nan_coefficient": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(2, float("nan")),
     "nan_training_range": lambda doc: doc["diagnostics"]["train_max"].__setitem__(0, float("nan")),
     "reordered_groups": _swap_groups,
+    # One defect per diagnostics field.
+    "rank_zero": lambda doc: doc["diagnostics"].update(rank=0),
+    "nnz_not_w_hat_count": lambda doc: doc["diagnostics"].update(nnz=doc["diagnostics"]["nnz"] + 1),
+    "infinite_residual_fro": lambda doc: doc["diagnostics"].update(residual_fro=float("inf")),
+    "nan_relative_residual": lambda doc: doc["diagnostics"].update(relative_residual=float("nan")),
+    "column_residuals_too_long": lambda doc: doc["diagnostics"]["column_residuals"].append(0.0),
+    "column_bounds_too_short": lambda doc: doc["diagnostics"]["column_bounds"].pop(),
+    "train_min_above_train_max": lambda doc: doc["diagnostics"]["train_min"].__setitem__(
+        0, doc["diagnostics"]["train_max"][0] + 1.0),
+    "zero_delta": lambda doc: doc["diagnostics"].update(delta=0.0),
+    "negative_epsilon": lambda doc: doc["diagnostics"].update(epsilon=-1.0),
+    "zero_max_iter": lambda doc: doc["diagnostics"].update(max_iter=0),
+    "infinite_nu": lambda doc: doc["diagnostics"].update(nu=float("inf")),
+    "negative_seed": lambda doc: doc["diagnostics"].update(seed=-5),
+    "numeric_rng_name": lambda doc: doc["diagnostics"].update(rng_name=5),
 }
 
 
@@ -390,3 +501,22 @@ def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
                  "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal, message", [
+    ("NaN", "NaN is not a JSON number"),
+    ("Infinity", "Infinity is not a JSON number"),
+    ("-Infinity", "-Infinity is not a JSON number"),
+    ("1e999", "column_bounds must be finite numbers"),
+])
+def test_non_finite_literal_is_format_error(literal, message, tmp_path):
+    # Python's json reads the first three, which are not JSON; 1e999 is JSON
+    # but overflows to inf. A field no other check looks at carries them.
+    model, _ = TestPersistence().make_model()
+    path = tmp_path / "model.json"
+    rk.save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["diagnostics"]["column_bounds"][0] = 12345.5
+    path.write_text(json.dumps(doc).replace("12345.5", literal))
+    with pytest.raises(ModelFormatError, match=message):
+        rk.load_model(path)

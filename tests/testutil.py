@@ -12,7 +12,7 @@ from rrckit.embedding import build_data_matrices
 from rrckit import finance
 from rrckit.errors import RankZeroError, StepUnderflowError
 from rrckit.finance import _rk_step
-from rrckit.linalg import SolverConfig
+from rrckit.linalg import SolverConfig, _Projection, _truncated_projection
 from rrckit.model import RRCModel
 
 
@@ -219,20 +219,20 @@ class PerPassSolution(NamedTuple):
 def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> PerPassSolution:
     """Oracle for ``sparse_lstsq``: every refinement pass solves its support afresh.
 
-    Records the ordered support of each pass, so a test can count the
-    distinct restricted subproblems of each column.
+    Uses the package's projection and restricted-solve cutoff, so only the
+    reuse of solved supports differs. Records the ordered support of each
+    pass, so a test can count the distinct restricted subproblems of each
+    column.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:
         Y = Y[:, None]
     n = A.shape[1]
-    U, S, V = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(S > cfg.delta))
-    Ur = U[:, :r]
-    A_hat = Ur.T @ A
-    Y_hat = Ur.T @ Y
+    S, V, A_hat, Y_hat, _ = _truncated_projection(A, Y, cfg.delta)
+    r = A_hat.shape[0]
     X0 = V[:r].T @ (Y_hat / S[:r, None])
+    rcond = cfg.delta / S[0]
 
     def support_size(magnitudes: np.ndarray) -> int:
         return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
@@ -250,7 +250,7 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
         while k < cfg.max_iter and error > cfg.delta:
             support = order[:n0]
             passes.append(support.tobytes())
-            coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=None)[0]
+            coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=rcond)[0]
             x = np.zeros(n)
             x[support] = coeffs
             error = float(np.max(np.abs(x - x_prev))) if n else 0.0
@@ -263,3 +263,23 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
         residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
         supports.append(passes)
     return PerPassSolution(X, iterations, residuals, supports)
+
+
+def tall_svd_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projection:
+    """Oracle for the solver's projection: the economy SVD of A itself.
+
+    Forms U and projects with it, where the package factors [A | Y] by QR
+    and takes the SVD of the small triangular factor only.
+    """
+    A = np.asarray(A, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    U, S, V = np.linalg.svd(A, full_matrices=False)
+    r = int(np.sum(S > delta))
+    if r == 0:
+        raise RankZeroError(f"rank_delta(A, {delta:g}) = 0")
+    Ur = U[:, :r]
+    Y_hat = Ur.T @ Y
+    return _Projection(
+        S=S, V=V, A_hat=Ur.T @ A, Y_hat=Y_hat,
+        deflated=np.linalg.norm(Y - Ur @ Y_hat, axis=0),
+    )
