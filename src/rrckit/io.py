@@ -106,8 +106,8 @@ def _row_error(path: str | Path, header: list[str]) -> ValueError:
     """The error for rows :func:`_parse_rows` rejected or that hold a non-finite cell.
 
     Re-reads the rows with ``csv`` to name the line: the first row of the
-    wrong length or with a cell ``float`` rejects, else the first non-finite
-    cell. This runs only on the failure path.
+    wrong length or with a cell :func:`_cell` rejects, else the first
+    non-finite cell. This runs only on the failure path.
     """
     rows, line_numbers = [], []
     with Path(path).open("r", newline="", encoding="utf-8") as handle:
@@ -122,7 +122,7 @@ def _row_error(path: str | Path, header: list[str]) -> ValueError:
                     f"got {len(row)}"
                 )
             try:
-                rows.append([float(v) for v in row])
+                rows.append([_cell(v) for v in row])
             except ValueError as exc:
                 return ValueError(f"{path}:{reader.line_num}: {exc}")
             line_numbers.append(reader.line_num)
@@ -134,8 +134,14 @@ def _row_error(path: str | Path, header: list[str]) -> ValueError:
                 )
     if not rows:
         return ValueError(f"{path}: no data rows")
-    # float() reads a few spellings np.loadtxt does not, such as "1_000".
     return ValueError(f"{path}: a cell is not a plain decimal number")
+
+
+def _cell(text: str) -> float:
+    """One CSV cell by np.loadtxt's rule: float() without "_" or non-ASCII digits."""
+    if "_" in text or not text.isascii():
+        raise ValueError(f"could not convert string to float: {text!r}")
+    return float(text)
 
 
 def _not_utf8_error(path: str | Path) -> ValueError:

@@ -74,6 +74,10 @@ class SparseSolution:
         Numerical rank of A at the configured threshold.
     column_bounds : list of float
         The residual certificate of each column (see :func:`sparse_lstsq`).
+    slack : float
+        The certificate's slack per unit coefficient norm,
+        ``sqrt(r*(min(m,n)-r)) * delta``: column j's bound is
+        ``||x_j|| * slack + ||(I - Q) y_j||``.
     """
 
     X: np.ndarray
@@ -82,6 +86,7 @@ class SparseSolution:
     residual_norms: list[float] = field(default_factory=list)
     rank: int = 0
     column_bounds: list[float] = field(default_factory=list)
+    slack: float = 0.0
 
 
 def heaviside_delta(x: float, delta: float) -> int:
@@ -103,11 +108,10 @@ def rank_delta(A: np.ndarray, delta: float) -> int:
     return int(np.sum(S > delta))
 
 
-def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray, rcond: float) -> np.ndarray:
-    # SVD-backed minimum-norm least squares; singular values at or below
-    # rcond times the largest are dropped, so nearly singular supports, which
-    # magnitude-restricted solves routinely produce, stay deterministic.
-    return np.linalg.lstsq(A, y, rcond=rcond)[0]
+def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
+    # SVD-backed minimum-norm least squares; deterministic on rank-deficient
+    # subproblems, which magnitude-restricted supports routinely produce.
+    return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
 class _Projection(NamedTuple):
@@ -158,19 +162,12 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     max-norm update falls to ``cfg.delta`` or after ``cfg.max_iter`` passes;
     a support the column has already solved reuses that solution.
 
-    The restricted solves cut at the rank decision's relative threshold:
-    singular values of a restricted matrix at or below ``cfg.delta / S[0]``
-    times its largest are dropped, S[0] being A's largest. That matrix is
-    made of columns of the projected system, whose norm is S[0], so the
-    absolute cut never exceeds ``cfg.delta``: a restricted solve keeps every
-    direction the rank keeps, and nearly singular supports no longer turn
-    rounding into coefficients.
-
     Every returned column x then has at most r nonzero entries and, on
     well-posed inputs, satisfies
     ``||A x - y|| <= ||x|| * sqrt(r*(min(m,n)-r)) * delta + ||(I - Q) y||``
     with Q = U_r U_r^T the projector onto the top-r left singular subspace of
-    A; that bound is returned per column.
+    A; that bound is returned per column, and its slack term
+    ``sqrt(r*(min(m,n)-r)) * delta`` as ``slack``.
 
     Parameters
     ----------
@@ -200,7 +197,6 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     S, V, A_hat, Y_hat, deflated = _truncated_projection(A, Y, cfg.delta)
     r = A_hat.shape[0]
     X0 = V[:r].T @ (Y_hat / S[:r, None])  # truncated-pinv start
-    rcond = cfg.delta / S[0]
 
     def support_size(magnitudes: np.ndarray) -> int:
         # At least one column is always kept; at most r can carry signal.
@@ -224,7 +220,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
             key = support.tobytes()
             coeffs = solved.get(key)
             if coeffs is None:
-                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j], rcond)
+                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
                 solved[key] = coeffs
             x = np.zeros(n)
             x[support] = coeffs
@@ -238,11 +234,8 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         iters.append(k)
         residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
 
-    s_nm = float(np.sqrt(r * (min(m, n) - r)))
-    bounds = [
-        float(np.linalg.norm(X[:, j]) * s_nm * cfg.delta + deflated[j])
-        for j in range(p)
-    ]
+    slack = float(np.sqrt(r * (min(m, n) - r))) * cfg.delta
+    bounds = [float(np.linalg.norm(X[:, j]) * slack + deflated[j]) for j in range(p)]
     return SparseSolution(
         X=X,
         nnz_per_column=nnz,
@@ -250,4 +243,5 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         residual_norms=residuals,
         rank=r,
         column_bounds=bounds,
+        slack=slack,
     )

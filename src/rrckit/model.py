@@ -206,9 +206,9 @@ def _fit(
 
     An exact row, a single 1.0 at column j, reproduces its target, the
     feature row G[j], so its residual is 0. Its certificate in
-    :func:`sparse_lstsq`'s terms, sqrt(r*(k-r))*delta + ||(I - Q) G[j]||
-    with k = min(G.shape), is recorded as (sqrt(r*(k-r)) + 1) * delta: the
-    rank rule leaves ||(I - Q) G[j]|| <= delta.
+    :func:`sparse_lstsq`'s terms, ||x|| * slack + ||(I - Q) G[j]|| with
+    ||x|| = 1, is recorded as slack + delta: the rank rule leaves
+    ||(I - Q) G[j]|| <= delta.
     """
     if not (math.isfinite(nu) and nu > 0):
         raise ValueError(f"nu must be finite and > 0, got {nu}")
@@ -218,11 +218,14 @@ def _fit(
     W_hat[rows] = solution.X.T  # W_hat stays C-contiguous, as a reloaded model is
 
     residual = W_hat @ G - H1
-    column_residuals = np.linalg.norm(residual, axis=1)
+    exact = np.ones(len(H1), dtype=bool)
+    exact[rows] = False
+    column_residuals = np.empty(len(H1))
     column_residuals[rows] = solution.residual_norms
-    r, k = solution.rank, min(G.shape)
-    column_bounds = np.full(len(H1), (math.sqrt(r * (k - r)) + 1.0) * solver.delta)
+    column_residuals[exact] = np.linalg.norm(residual[exact], axis=1)
+    column_bounds = np.empty(len(H1))
     column_bounds[rows] = solution.column_bounds
+    column_bounds[exact] = solution.slack + solver.delta
     residual_fro = float(np.linalg.norm(residual))
     h1_norm = float(np.linalg.norm(H1))
     diagnostics = TrainingDiagnostics(

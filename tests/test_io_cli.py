@@ -97,11 +97,13 @@ class TestCsvRoundTrip:
             read_timeseries_csv(path)
         assert not recwarn.list
 
-    def test_digit_separator_fails_cleanly(self, tmp_path):
-        # float() reads "1_000"; the table parser does not, and says so.
+    @pytest.mark.parametrize("cell", ["1_000", "\u0661\u0662", "\uff11\uff12"])
+    def test_cell_float_reads_but_table_does_not(self, tmp_path, cell):
+        # float() reads digit separators and non-ASCII digits; the table
+        # parser does not, and the error names the line.
         path = tmp_path / "sep.csv"
-        path.write_text("t,x\n0,1\n1,1_000\n")
-        with pytest.raises(ValueError, match=r"sep\.csv: a cell is not a plain decimal number"):
+        path.write_text(f"t,x\n0,1\n1,{cell}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"sep\.csv:3: could not convert string to float: '{cell}'"):
             read_timeseries_csv(path)
 
     def test_header_required(self, tmp_path):

@@ -308,9 +308,9 @@ def _solve_counting(monkeypatch, A, Y, cfg):
     calls = []
     solve = linalg._minimum_norm_lstsq
 
-    def counting(A_sub, y, rcond):
+    def counting(A_sub, y):
         calls.append(A_sub.shape)
-        return solve(A_sub, y, rcond)
+        return solve(A_sub, y)
 
     with monkeypatch.context() as patch:
         patch.setattr(linalg, "_minimum_norm_lstsq", counting)

@@ -219,10 +219,9 @@ class PerPassSolution(NamedTuple):
 def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> PerPassSolution:
     """Oracle for ``sparse_lstsq``: every refinement pass solves its support afresh.
 
-    Uses the package's projection and restricted-solve cutoff, so only the
-    reuse of solved supports differs. Records the ordered support of each
-    pass, so a test can count the distinct restricted subproblems of each
-    column.
+    Uses the package's projection, so only the reuse of solved supports
+    differs. Records the ordered support of each pass, so a test can count
+    the distinct restricted subproblems of each column.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -232,7 +231,6 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
     S, V, A_hat, Y_hat, _ = _truncated_projection(A, Y, cfg.delta)
     r = A_hat.shape[0]
     X0 = V[:r].T @ (Y_hat / S[:r, None])
-    rcond = cfg.delta / S[0]
 
     def support_size(magnitudes: np.ndarray) -> int:
         return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
@@ -250,7 +248,7 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
         while k < cfg.max_iter and error > cfg.delta:
             support = order[:n0]
             passes.append(support.tobytes())
-            coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=rcond)[0]
+            coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=None)[0]
             x = np.zeros(n)
             x[support] = coeffs
             error = float(np.max(np.abs(x - x_prev))) if n else 0.0
