@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, TimeSeries, delay_embed, suggest_lag
+from .embedding import EmbeddingConfig, TimeSeries, delay_embed, feature_dim, suggest_lag
 from .errors import DegenerateChannelError, RRCError
 from .finance import CHAOTIC, PERIODIC, FinancialParams, SimulationGrid, integrate
 from .io import read_timeseries_csv, write_table_csv, write_timeseries_csv
@@ -68,10 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--epsilon", type=float, default=1e-8)
     tr.add_argument("--max-iter", type=int, default=50)
     tr.add_argument("--train-frac", type=float, default=1.0)
-    provenance = "compression-probe {}, recorded in the model file; does not affect the fit"
-    tr.add_argument("--seed", type=int, default=0, help=provenance.format("seed (>= 0)"))
     tr.add_argument(
-        "--nu", type=float, default=1.0, help=provenance.format("scale (finite, > 0)")
+        "--seed", type=int, default=0,
+        help="seed (>= 0), recorded in the model file; does not affect the fit",
     )
     tr.add_argument("--out", required=True)
 
@@ -137,7 +136,7 @@ def cmd_train(args) -> int:
     n_train = max(1, int(args.train_frac * data.T))
     if args.target is None:
         x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
-        model = train_autoregressive(x, cfg, solver, seed=args.seed, nu=args.nu)
+        model = train_autoregressive(x, cfg, solver, seed=args.seed)
     else:
         target = read_timeseries_csv(args.target)
         if target.T != data.T:
@@ -148,19 +147,18 @@ def cmd_train(args) -> int:
             )
         x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
         y = TimeSeries(target.values[:n_train], dt=target.dt, labels=target.labels)
-        model = train_rrc(x, y, cfg, solver, seed=args.seed, nu=args.nu)
+        model = train_rrc(x, y, cfg, solver, seed=args.seed)
 
     save_model(model, args.out)
     diag = model.diagnostics
     print(f"rows={n_train}")
     print(f"channels={model.n}")
-    print(f"features={model.R.cols}")
-    print(f"compressed_features={model.R.rows}")
+    print(f"features={feature_dim(model.n * model.L, model.p)}")
+    print(f"compressed_features={model.W_hat.shape[1]}")
     print(f"rank={diag.rank}")
     print(f"nnz={diag.nnz}")
     print(f"residual_fro={diag.residual_fro:.17g}")
     print(f"relative_residual={diag.relative_residual:.17g}")
-    print(f"rng={diag.rng_name}")
     print(f"seed={diag.seed}")
     print(f"out={args.out}")
     return 0

@@ -111,7 +111,8 @@ class DataMatrices:
 
 def feature_dim(m: int, p: int) -> int:
     """Dimension of the order-p feature map on R^m: sum_{k=1..p} m^k + 1."""
-    return sum(m**k for k in range(1, p + 1)) + 1
+    # The geometric sum in closed form: exact, and one power however large p is.
+    return p + 1 if m == 1 else (m ** (p + 1) - m) // (m - 1) + 1
 
 
 def _check_budget(entries: int, budget: int) -> None:
@@ -292,19 +293,17 @@ def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     if series.T < 3:
         raise ValueError(f"need at least 3 samples, got {series.T}")
     threshold = 1.0 / np.e
+    T = series.T
     lags = []
     for j in range(series.n):
-        # Lags are computed over a doubling prefix until the first crossing,
-        # each exactly as over the full range; no crossing reports T - 1.
-        max_lag = 1
-        while True:
-            acf = autocorrelation(series.values[:, j], max_lag)
-            if np.isnan(acf[0]):
-                lags.append(1)
-                break
-            below = np.nonzero(acf[1:] < threshold)[0]
-            if below.size or max_lag == series.T - 1:
-                lags.append(int(below[0]) + 1 if below.size else series.T - 1)
-                break
-            max_lag = min(2 * max_lag, series.T - 1)
+        # Each lag's value is computed as :func:`autocorrelation` computes it,
+        # up to the first crossing; no crossing reports T - 1.
+        x = series.values[:, j].copy()  # contiguous, as autocorrelation's input
+        c = x - x.mean()
+        denom = float(np.dot(c, c))
+        k = 1
+        if 0.0 < denom < np.inf:  # otherwise every value is NaN: report lag 1
+            while k < T - 1 and not float(np.dot(c[: T - k], c[k:])) / denom < threshold:
+                k += 1
+        lags.append(k)
     return lags, max(lags)

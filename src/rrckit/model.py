@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import CompressionMatrix, compression_matrix_exact
-from .embedding import EmbeddingConfig, TimeSeries, feature_dim
+from .embedding import DEFAULT_FEATURE_BUDGET, EmbeddingConfig, TimeSeries, feature_dim
 from .embedding import monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
@@ -40,9 +40,8 @@ __all__ = [
     "load_model",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _FORMAT_MARKER = "rrc-model"
-_RNG_NAME = "numpy-pcg64"
 
 
 @dataclass
@@ -60,9 +59,7 @@ class TrainingDiagnostics:
     delta: float
     epsilon: float
     max_iter: int
-    nu: float
     seed: int
-    rng_name: str = _RNG_NAME
 
 
 @dataclass(eq=False)
@@ -131,7 +128,6 @@ def train_rrc(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int = 0,
-    nu: float = 1.0,
     selector_offset: int | None = None,
 ) -> RRCModel:
     """Identify the sparse output-coupling matrix mapping x windows to y windows.
@@ -140,9 +136,7 @@ def train_rrc(
     compressed features R H0, and solves W_hat G = H1 through the transposed
     system so each output row is fitted independently by the sparse solver.
 
-    ``seed`` and ``nu`` (the randomized compression probe's seed and scale,
-    finite ``nu > 0``) are recorded provenance only: every probe that succeeds
-    reproduces the exact partition, so they do not affect the fit.
+    ``seed`` (>= 0) is recorded provenance only; it does not affect the fit.
 
     Raises
     ------
@@ -156,7 +150,7 @@ def train_rrc(
     G = monomial_features(Xw, cfg.p)      # (rho, cols)
     W_hat = np.zeros((H1.shape[0], G.shape[0]))
     return _fit(x, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver,
-                seed, nu, selector_offset)
+                seed, selector_offset)
 
 
 def train_autoregressive(
@@ -164,7 +158,6 @@ def train_autoregressive(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int = 0,
-    nu: float = 1.0,
     selector_offset: int | None = None,
 ) -> RRCModel:
     """Train on one-step-ahead targets: pair each sample with its successor.
@@ -187,7 +180,7 @@ def train_autoregressive(
     # The newest rows' entries are overwritten by the fit.
     W_hat = np.eye(H1.shape[0], G.shape[0], k=1)
     newest = np.arange(x.n) * cfg.L + (cfg.L - 1)
-    return _fit(x_in, G, H1, W_hat, newest, cfg, solver, seed, nu, selector_offset)
+    return _fit(x_in, G, H1, W_hat, newest, cfg, solver, seed, selector_offset)
 
 
 def _fit(
@@ -199,7 +192,6 @@ def _fit(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int,
-    nu: float,
     selector_offset: int | None,
 ) -> RRCModel:
     """Solve the given rows of W_hat G = H1 into W_hat; its other rows are exact.
@@ -210,8 +202,6 @@ def _fit(
     ||x|| = 1, is recorded as slack + delta: the rank rule leaves
     ||(I - Q) G[j]|| <= delta.
     """
-    if not (math.isfinite(nu) and nu > 0):
-        raise ValueError(f"nu must be finite and > 0, got {nu}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     solution = sparse_lstsq(G.T, H1[rows].T, solver)
@@ -240,7 +230,6 @@ def _fit(
         delta=solver.delta,
         epsilon=solver.epsilon,
         max_iter=solver.max_iter,
-        nu=nu,
         seed=seed,
     )
     return RRCModel(
@@ -323,15 +312,6 @@ def forecast(
     return TimeSeries(out)
 
 
-def _compression_doc(R: CompressionMatrix) -> dict:
-    return {
-        "rho": R.rows,
-        "d": R.cols,
-        "groups": [list(g) for g in R.groups],
-        "group_spread": R.group_spread,
-    }
-
-
 def save_model(model: RRCModel, path: str | Path) -> None:
     """Write the model as a versioned JSON document (lossless round trip)."""
     rows, cols = model.W_hat.shape
@@ -346,7 +326,6 @@ def save_model(model: RRCModel, path: str | Path) -> None:
         "L": model.L,
         "p": model.p,
         "selector_offset": model.selector_offset,
-        "compression": _compression_doc(model.R),
         "W_hat": {"rows": rows, "cols": cols, "triplets": triplets},
         "diagnostics": asdict(model.diagnostics),
     }
@@ -355,14 +334,21 @@ def save_model(model: RRCModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RRCModel:
-    """Read a model written by :func:`save_model`.
+    """Read a model written by :func:`save_model`, schema version 2 or 1.
+
+    First, before anything of that size is computed or allocated, the dense
+    W_hat that n, L and p ask for, nL x C(nL + p, p), must hold at most
+    ``DEFAULT_FEATURE_BUDGET`` entries; every model trained on at least nL
+    windows does. A version-1 document also holds the compression block,
+    which must be the exact monomial partition, and the diagnostics ``nu``
+    (finite, > 0) and ``rng_name`` (a string). These are checked, then
+    dropped, and the rest is read as version 2.
 
     Raises
     ------
     ModelFormatError
         If the file is not a model document, or any field is missing,
-        mistyped, out of range, non-finite, or inconsistent with the others
-        (including a compression block other than the exact partition).
+        mistyped, out of range, non-finite, or inconsistent with the others.
     ModelVersionError
         If the schema version is unsupported.
     """
@@ -375,13 +361,17 @@ def load_model(path: str | Path) -> RRCModel:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_MARKER:
         raise ModelFormatError("missing or wrong format marker")
     version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not (type(version) is int and version in (1, SCHEMA_VERSION)):
         raise ModelVersionError(
-            f"unsupported schema version {version}, expected {SCHEMA_VERSION}"
+            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION} or 1"
         )
     try:
-        return _model_from_doc(doc)
-    except (KeyError, TypeError, ValueError, DimensionMismatchError) as exc:
+        n, L, p = _checked_size(doc)
+        if version == 1:
+            _drop_v1_fields(doc, n, L, p)
+        return _model_from_doc(doc, n, L, p)
+    # OverflowError: an integer too large for a float where a number is expected.
+    except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
         raise ModelFormatError(f"malformed model document: {exc!r}") from exc
 
 
@@ -417,9 +407,7 @@ _DIAGNOSTIC_CHECKS = {
     "delta": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "epsilon": (lambda v: _is_number(v) and v >= 0, "a finite number >= 0"),
     "max_iter": (lambda v: type(v) is int and v >= 1, "an integer >= 1"),
-    "nu": (lambda v: _is_number(v) and v > 0, "a finite number > 0"),
     "seed": (lambda v: type(v) is int and v >= 0, "an integer >= 0"),
-    "rng_name": (lambda v: type(v) is str, "a string"),
 }
 
 
@@ -442,44 +430,75 @@ def _diagnostics_from_doc(fields: dict, W_hat: np.ndarray, n: int) -> TrainingDi
     return diagnostics
 
 
-def _model_from_doc(doc: dict) -> RRCModel:
+def _checked_size(doc: dict) -> tuple[int, int, int]:
+    """n, L, p of the document, once the dense W_hat they ask for fits the budget."""
     n, L, p = doc["n"], doc["L"], doc["p"]
     _require(
         all(type(v) is int and v >= 1 for v in (n, L, p)),
         f"n, L, p must be positive integers, got {n!r}, {L!r}, {p!r}",
     )
-    comp = doc["compression"]
+    nL = n * L
+    # C(nL + p, p) >= nL + p: the first test bounds the second before math.comb runs.
+    _require(
+        nL * (nL + p) <= DEFAULT_FEATURE_BUDGET
+        and nL * math.comb(nL + p, p) <= DEFAULT_FEATURE_BUDGET,
+        f"n, L, p = {n}, {L}, {p} ask for a W_hat beyond the budget of "
+        f"{DEFAULT_FEATURE_BUDGET} entries",
+    )
+    return n, L, p
+
+
+def _drop_v1_fields(doc: dict, n: int, L: int, p: int) -> None:
+    """Check the parts only version 1 holds, then remove them from ``doc``."""
+    comp = doc.pop("compression")
     # Sized against the file before the partition of that size is enumerated.
     _require(
         sum(len(g) for g in comp["groups"]) == feature_dim(n * L, p),
         "compression groups do not cover the feature columns",
     )
     R = compression_matrix_exact(n, L, p)
-    _require(comp == _compression_doc(R), "compression block is not the exact partition")
+    exact = {"rho": R.rows, "d": R.cols, "groups": [list(g) for g in R.groups],
+             "group_spread": R.group_spread}
+    _require(comp == exact, "compression block is not the exact partition")
+    diagnostics = doc["diagnostics"]
+    _require(isinstance(diagnostics, dict), "diagnostics must be an object")
+    nu, rng_name = diagnostics.pop("nu"), diagnostics.pop("rng_name")
+    _require(_is_number(nu) and nu > 0,
+             f"diagnostics nu must be a finite number > 0, got {nu!r}")
+    _require(type(rng_name) is str,
+             f"diagnostics rng_name must be a string, got {rng_name!r}")
 
+
+def _model_from_doc(doc: dict, n: int, L: int, p: int) -> RRCModel:
+    shape = (n * L, math.comb(n * L + p, p))
     w_doc = doc["W_hat"]
-    shape = (w_doc["rows"], w_doc["cols"])
-    _require(shape == (n * L, R.rows), f"W_hat is {shape}, expected {(n * L, R.rows)}")
-    triplets = np.array(w_doc["triplets"], dtype=float)
-    if triplets.size == 0:
-        triplets = triplets.reshape(0, 3)
-    _require(triplets.ndim == 2 and triplets.shape[1] == 3, "W_hat triplet not [i, j, v]")
-    index = triplets[:, :2]
+    dims = (w_doc["rows"], w_doc["cols"])
+    _require(all(type(v) is int for v in dims) and dims == shape,
+             f"W_hat is {dims!r}, expected {shape}")
+    triplets = w_doc["triplets"]
     _require(
-        np.all(index == np.floor(index))
-        and np.all(index >= 0)
-        and np.all(index < np.array(shape)),
-        "W_hat triplet index outside the matrix",
+        type(triplets) is list
+        and all(type(t) is list and len(t) == 3 and type(t[0]) is int
+                and type(t[1]) is int and type(t[2]) in (int, float) for t in triplets),
+        "W_hat triplets must be [row, column, value], row and column integers",
     )
-    _require(np.all(np.isfinite(triplets[:, 2])), "W_hat has a non-finite coefficient")
+    ijv = np.array(triplets, dtype=float).reshape(-1, 3)
+    index, values = ijv[:, :2], ijv[:, 2]
+    _require(np.all((index >= 0) & (index < shape)), "W_hat triplet index outside the matrix")
+    _require(np.all(np.isfinite(values) & (values != 0)),
+             "W_hat coefficients must be finite and nonzero")
     W_hat = np.zeros(shape)
-    W_hat[index[:, 0].astype(int), index[:, 1].astype(int)] = triplets[:, 2]
+    W_hat[tuple(index.T.astype(np.intp))] = values
+    # Every value is nonzero, so a repeated index leaves fewer nonzeros than triplets.
+    _require(np.count_nonzero(W_hat) == len(values), "W_hat has two triplets at one index")
 
+    offset = doc["selector_offset"]
+    _require(type(offset) is int, f"selector_offset must be an integer, got {offset!r}")
     return RRCModel(
         n=n,
         L=L,
         p=p,
-        selector_offset=doc["selector_offset"],
+        selector_offset=offset,
         W_hat=W_hat,
         diagnostics=_diagnostics_from_doc(doc["diagnostics"], W_hat, n),
     )

@@ -167,8 +167,13 @@ class TestTrain:
         out = capsys.readouterr().out
         for key in ("rank=", "nnz=", "residual_fro=", "rows=300", "seed=3"):
             assert key in out
+        assert "rng=" not in out
         model = rk.load_model(model_path)
         assert model.L == 2 and model.p == 2
+
+    def test_nu_flag_is_gone(self, orbit_csv, tmp_path):
+        assert run_cli("train", "--input", str(orbit_csv), "--lag", "2", "--nu", "1",
+                       "--out", str(tmp_path / "m.json")) == 2
 
     def test_invalid_lag(self, orbit_csv, tmp_path):
         assert run_cli("train", "--input", str(orbit_csv), "--lag", "0",
@@ -446,7 +451,6 @@ BOUNDARY_CASES = [
      "nan.csv:10: non-finite value nan in column 'x3'"),
     ("non-utf8-input", ["suggest-lag", "--input", "{latin1}"],
      "latin1.csv:7: 'utf-8' codec can't decode byte 0xff"),
-    ("nu-inf", _TRAIN + ["--nu", "inf", "--out", "{out}"], "nu must be finite"),
     ("exposure-adjacency-out-in-missing-dir",
      _EXPOSURE + ["--out", "{out}", "--adjacency-out", "{missing}/a.csv"],
      "No such file or directory"),

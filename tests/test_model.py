@@ -1,12 +1,16 @@
 """Model training, transform, rollout, selector laws, persistence."""
 
 import json
+import math
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rrckit as rk
 from rrckit.cli import main
+from rrckit.embedding import DEFAULT_FEATURE_BUDGET
 from rrckit.errors import (
     DimensionMismatchError,
     ModelFormatError,
@@ -24,6 +28,7 @@ from testutil import (
     stable_linear_system,
 )
 
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
 LINEAR_CFG = rk.EmbeddingConfig(L=1, p=1)
 TIGHT = rk.SolverConfig(delta=1e-10, epsilon=1e-12)
 
@@ -119,12 +124,13 @@ class TestDistinctMonomialPath:
             expected = model.W_hat @ rk.compress(R, rk.eth_map(window, 3))
             assert np.array_equal(y_dilated, expected)
 
-    def test_fit_and_rollout_skip_the_kronecker_oracles(self, monkeypatch):
+    def test_fit_and_rollout_skip_the_kronecker_oracles(self, monkeypatch, tmp_path):
         def forbidden(*args, **kwargs):
             raise AssertionError("paper-definition oracle called on the fit path")
 
-        for module in (rk, rk.compression, rk.embedding):
-            for name in ("compress", "compression_matrix", "eth_map", "build_data_matrices"):
+        for module in (rk, rk.compression, rk.embedding, rk.model):
+            for name in ("compress", "compression_matrix", "compression_matrix_exact",
+                         "eth_map", "build_data_matrices"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         svd_calls = []
@@ -139,15 +145,15 @@ class TestDistinctMonomialPath:
         assert len(svd_calls) == 1
         fc = rk.forecast(model, orbit[-2:].T.reshape(-1), 25)
         assert fc.values.shape == (25, 2) and len(svd_calls) == 1
+        rk.save_model(model, tmp_path / "model.json")
+        assert rk.load_model(tmp_path / "model.json") == model
 
-    def test_seed_and_nu_are_provenance_only(self):
+    def test_seed_is_provenance_only(self):
         orbit = bounded_orbit(np.random.default_rng(61), 3, 80)
-        a = self.fit(orbit, seed=0, nu=1.0)
-        b = self.fit(orbit, seed=9, nu=3.0)
+        a = self.fit(orbit, seed=0)
+        b = self.fit(orbit, seed=9)
         assert np.array_equal(a.W_hat, b.W_hat)
-        assert (b.diagnostics.seed, b.diagnostics.nu) == (9, 3.0)
-        with pytest.raises(ValueError):
-            self.fit(orbit, nu=0.0)
+        assert b.diagnostics.seed == 9
         with pytest.raises(ValueError):
             self.fit(orbit, seed=-1)
 
@@ -474,16 +480,52 @@ class TestPersistence:
         path = tmp_path / "model.json"
         rk.save_model(model, path)
         doc = json.loads(path.read_text())
-        doc["schema_version"] = 99
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelVersionError):
-            rk.load_model(path)
+        for version in (99, 0, True, 2.0):
+            doc["schema_version"] = version
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelVersionError):
+                rk.load_model(path)
+
+    def test_version_1_file_loads_and_resaves_as_version_2(self, tmp_path):
+        # The fixture is this model as written by the version-1 writer.
+        model, orbit = self.make_model()
+        loaded = rk.load_model(V1_FIXTURE)
+        assert loaded == model
+        assert loaded.W_hat.tobytes() == model.W_hat.tobytes()
+        window = rk.delay_embed(rk.TimeSeries(orbit), 2, 40)
+        assert np.array_equal(rk.forecast(loaded, window, 25).values,
+                              rk.forecast(model, window, 25).values)
+
+        expected = json.loads(V1_FIXTURE.read_text())
+        del expected["compression"]
+        del expected["diagnostics"]["nu"], expected["diagnostics"]["rng_name"]
+        expected["schema_version"] = 2
+        rk.save_model(loaded, tmp_path / "v2.json")
+        assert json.loads((tmp_path / "v2.json").read_text()) == expected
+        rk.save_model(model, tmp_path / "trained.json")
+        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
 
 
 def _swap_groups(doc):
     groups = doc["compression"]["groups"]
     groups[1], groups[2] = groups[2], groups[1]
 
+
+def _repeat_first_index(doc):
+    # Two triplets at one index; nnz counts the one nonzero they leave.
+    triplets = doc["W_hat"]["triplets"]
+    triplets[1][:2] = triplets[0][:2]
+    doc["diagnostics"]["nnz"] -= 1
+
+
+def _zero_first_coefficient(doc):
+    doc["W_hat"]["triplets"][0][2] = 0.0
+    doc["diagnostics"]["nnz"] -= 1
+
+
+# Defects of parts only a version-1 document holds.
+V1_DEFECTS = {"missing_compression", "reordered_groups", "infinite_nu", "zero_nu",
+              "numeric_rng_name"}
 
 MODEL_DEFECTS = {
     "missing_compression": lambda doc: doc.pop("compression"),
@@ -493,6 +535,16 @@ MODEL_DEFECTS = {
     "nan_coefficient": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(2, float("nan")),
     "nan_training_range": lambda doc: doc["diagnostics"]["train_max"].__setitem__(0, float("nan")),
     "reordered_groups": _swap_groups,
+    "duplicate_triplet": _repeat_first_index,
+    "zero_triplet": _zero_first_coefficient,
+    "float_selector_offset": lambda doc: doc.update(selector_offset=float(doc["selector_offset"])),
+    "boolean_selector_offset": lambda doc: doc.update(selector_offset=True),
+    "float_triplet_row": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(
+        0, float(doc["W_hat"]["triplets"][0][0])),
+    "string_coefficient": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(
+        2, str(doc["W_hat"]["triplets"][0][2])),
+    "float_row_count": lambda doc: doc["W_hat"].update(rows=float(doc["W_hat"]["rows"])),
+    "huge_integer_residual": lambda doc: doc["diagnostics"].update(residual_fro=10**400),
     # One defect per diagnostics field.
     "rank_zero": lambda doc: doc["diagnostics"].update(rank=0),
     "nnz_not_w_hat_count": lambda doc: doc["diagnostics"].update(nnz=doc["diagnostics"]["nnz"] + 1),
@@ -506,27 +558,70 @@ MODEL_DEFECTS = {
     "negative_epsilon": lambda doc: doc["diagnostics"].update(epsilon=-1.0),
     "zero_max_iter": lambda doc: doc["diagnostics"].update(max_iter=0),
     "infinite_nu": lambda doc: doc["diagnostics"].update(nu=float("inf")),
+    "zero_nu": lambda doc: doc["diagnostics"].update(nu=0.0),
     "negative_seed": lambda doc: doc["diagnostics"].update(seed=-5),
     "numeric_rng_name": lambda doc: doc["diagnostics"].update(rng_name=5),
 }
 
 
+def _saved_document(version, tmp_path):
+    """TestPersistence's model as a version-1 (the fixture) or version-2 document."""
+    if version == 1:
+        return json.loads(V1_FIXTURE.read_text())
+    model, _ = TestPersistence().make_model()
+    rk.save_model(model, tmp_path / "saved.json")
+    return json.loads((tmp_path / "saved.json").read_text())
+
+
 @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
 def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
-    model, orbit = TestPersistence().make_model()
+    """Each defect fails the version-1 fixture and, unless it is of a part
+    only version 1 holds, the same model written as version 2."""
+    _, orbit = TestPersistence().make_model()
+    docs = [_saved_document(v, tmp_path) for v in ((1,) if defect in V1_DEFECTS else (1, 2))]
     path = tmp_path / "model.json"
-    rk.save_model(model, path)
-    doc = json.loads(path.read_text())
-    MODEL_DEFECTS[defect](doc)
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError):
-        rk.load_model(path)
     seed = tmp_path / "seed.csv"
     write_timeseries_csv(seed, rk.TimeSeries(orbit))
-    code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
-                 "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for doc in docs:
+        MODEL_DEFECTS[defect](doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            rk.load_model(path)
+        code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
+                     "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+
+def _smallest_p_over_budget(nL):
+    p = 1
+    while nL * math.comb(nL + p, p) <= DEFAULT_FEATURE_BUDGET:
+        p += 1
+    return p
+
+
+@pytest.mark.parametrize("size, over_budget", [
+    ({"p": 10**9}, True),
+    ({"L": 10**9}, True),
+    ({"n": 10**9, "L": 10**9, "p": 10**9}, True),
+    # nL (nL + p) is within the budget; nL C(nL + p, p) is just above it.
+    ({"n": 2, "L": 1, "p": _smallest_p_over_budget(2)}, True),
+    ({"n": 3, "L": 3, "p": _smallest_p_over_budget(9)}, True),
+    # Within the budget, loading goes on and fails, as fast, on the next field.
+    ({"n": 2, "L": 1, "p": _smallest_p_over_budget(2) - 1}, False),
+    ({"n": 1, "L": 1, "p": DEFAULT_FEATURE_BUDGET - 2}, False),
+])
+@pytest.mark.parametrize("version", [1, 2])
+def test_size_is_checked_before_the_model_is_built(size, over_budget, version, tmp_path):
+    doc = _saved_document(version, tmp_path)
+    doc.update(size)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    with pytest.raises(ModelFormatError) as err:
+        rk.load_model(path)
+    assert time.perf_counter() - start < 1.0
+    assert ("budget" in str(err.value)) == over_budget
 
 
 @pytest.mark.parametrize("literal, message", [

@@ -1,0 +1,129 @@
+"""Property tests of model persistence: save/load identity and fuzzed documents."""
+
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import rrckit as rk
+from rrckit.errors import RRCError
+from rrckit.model import TrainingDiagnostics
+
+V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+nonnegative = st.floats(min_value=0.0, allow_infinity=False)
+# st.floats draws the extremes (largest finite, subnormals) among others.
+coefficient = finite.filter(lambda v: v != 0.0)
+
+
+@st.composite
+def models(draw):
+    n, L, p = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    nL, rho = n * L, math.comb(n * L + p, p)
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(0, nL - 1), st.integers(0, rho - 1)), coefficient, max_size=12
+    ))
+    W_hat = np.zeros((nL, rho))
+    for (i, j), value in entries.items():
+        W_hat[i, j] = value
+    ends = [sorted(draw(st.tuples(finite, finite))) for _ in range(n)]
+    diagnostics = TrainingDiagnostics(
+        rank=draw(st.integers(1, rho)),
+        nnz=len(entries),
+        residual_fro=draw(nonnegative),
+        relative_residual=draw(nonnegative),
+        column_residuals=draw(st.lists(nonnegative, min_size=nL, max_size=nL)),
+        column_bounds=draw(st.lists(nonnegative, min_size=nL, max_size=nL)),
+        train_min=[lo for lo, _ in ends],
+        train_max=[hi for _, hi in ends],
+        delta=draw(st.floats(min_value=5e-324, allow_infinity=False)),
+        epsilon=draw(nonnegative),
+        max_iter=draw(st.integers(1, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+    )
+    return rk.RRCModel(n=n, L=L, p=p, selector_offset=draw(st.integers(1, L)),
+                       W_hat=W_hat, diagnostics=diagnostics)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(model=models())
+def test_save_load_identity(model, workdir):
+    path = workdir / "model.json"
+    rk.save_model(model, path)
+    loaded = rk.load_model(path)
+    assert loaded == model
+    assert loaded.W_hat.tobytes() == model.W_hat.tobytes()
+    text = path.read_bytes()
+    rk.save_model(loaded, path)
+    assert path.read_bytes() == text
+
+
+@pytest.fixture(scope="module")
+def documents(workdir):
+    """The texts of a trained model's version-2 document and of the version-1 fixture."""
+    model = rk.train_autoregressive(
+        rk.TimeSeries(np.cos(0.3 * np.arange(40.0))[:, None] * [1.0, 0.5]),
+        rk.EmbeddingConfig(L=2, p=2), rk.SolverConfig(delta=1e-9, epsilon=1e-9),
+    )
+    rk.save_model(model, workdir / "trained.json")
+    return [(workdir / "trained.json").read_text(), V1_FIXTURE.read_text()]
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), finite, st.text(max_size=4),
+        st.sampled_from([-10**400, 10**400]),  # integers too large for a float
+    ),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    """Every position in a JSON document: the root, each key, each list item."""
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_document_loads_or_fails_cleanly(data, documents, workdir):
+    """Replace or drop one position of a version-2 or version-1 document:
+    loading it and a one-step forecast either succeed or raise RRCError."""
+    doc = json.loads(data.draw(st.sampled_from(documents)))
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    drop = len(path) > 0 and data.draw(st.booleans())
+    value = None if drop else data.draw(json_values)
+    if not path:
+        doc = value
+    else:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    fuzzed = workdir / "fuzzed.json"
+    fuzzed.write_text(json.dumps(doc))
+    try:
+        model = rk.load_model(fuzzed)
+        rk.forecast(model, np.ones(model.n * model.L), 1)
+    except RRCError:
+        pass
