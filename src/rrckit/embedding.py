@@ -28,6 +28,7 @@ __all__ = [
     "kron_power",
     "eth_map",
     "monomial_features",
+    "check_model_size",
     "paired_windows",
     "build_data_matrices",
     "autocorrelation",
@@ -199,6 +200,23 @@ def monomial_features(
     m = X.shape[0]
     _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]), budget)
     return _stacked_products(X, _distinct_monomial_indices, p)
+
+
+def check_model_size(m: int, p: int) -> None:
+    """Raise FeatureBudgetError unless an order-p model on windows of m entries
+    fits ``DEFAULT_FEATURE_BUDGET``.
+
+    The model's coupling matrix is m x C(m+p, p), and evaluating its features
+    builds one index table per order, fewer than p x C(m+p, p) entries in
+    all; (m + p) C(m+p, p) bounds both. C(m+p, p) >= m + p, so (m + p)**2 is
+    tested first and math.comb only ever sees small arguments.
+    """
+    budget = DEFAULT_FEATURE_BUDGET
+    if (m + p) ** 2 > budget or (m + p) * math.comb(m + p, p) > budget:
+        raise FeatureBudgetError(
+            f"an order-{p} model on {m} window entries exceeds the budget of "
+            f"{budget} entries"
+        )
 
 
 def delay_embed(series: TimeSeries, L: int, t: int) -> np.ndarray:

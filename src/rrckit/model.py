@@ -17,10 +17,11 @@ from pathlib import Path
 import numpy as np
 
 from .compression import CompressionMatrix, compression_matrix_exact
-from .embedding import DEFAULT_FEATURE_BUDGET, EmbeddingConfig, TimeSeries, feature_dim
+from .embedding import EmbeddingConfig, TimeSeries, check_model_size, feature_dim
 from .embedding import monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
+    FeatureBudgetError,
     ModelFormatError,
     ModelVersionError,
     NumericBlowupError,
@@ -42,6 +43,9 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 _FORMAT_MARKER = "rrc-model"
+_DOC_KEYS = {"format", "schema_version", "n", "L", "p", "selector_offset", "W_hat",
+             "diagnostics"}
+_W_HAT_KEYS = {"rows", "cols", "triplets"}
 
 
 @dataclass
@@ -145,7 +149,11 @@ def train_rrc(
         ``solver.delta``.
     DimensionMismatchError
         If the series shapes disagree.
+    FeatureBudgetError
+        If the model fails :func:`check_model_size`, the limit
+        :func:`load_model` applies, or its features exceed the budget.
     """
+    check_model_size(x.n * cfg.L, cfg.p)
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
     G = monomial_features(Xw, cfg.p)      # (rho, cols)
     W_hat = np.zeros((H1.shape[0], G.shape[0]))
@@ -172,6 +180,7 @@ def train_autoregressive(
         raise ValueError(
             f"autoregressive training needs at least L + 1 = {cfg.L + 1} samples, got {x.T}"
         )
+    check_model_size(x.n * cfg.L, cfg.p)
     x_in = TimeSeries(x.values[:-1], dt=x.dt, labels=x.labels)
     y_out = TimeSeries(x.values[1:], dt=x.dt, labels=x.labels)
     Xw, H1 = paired_windows(x_in, y_out, cfg.L)
@@ -336,13 +345,13 @@ def save_model(model: RRCModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> RRCModel:
     """Read a model written by :func:`save_model`, schema version 2 or 1.
 
-    First, before anything of that size is computed or allocated, the dense
-    W_hat that n, L and p ask for, nL x C(nL + p, p), must hold at most
-    ``DEFAULT_FEATURE_BUDGET`` entries; every model trained on at least nL
-    windows does. A version-1 document also holds the compression block,
-    which must be the exact monomial partition, and the diagnostics ``nu``
-    (finite, > 0) and ``rng_name`` (a string). These are checked, then
-    dropped, and the rest is read as version 2.
+    First, before anything of that size is computed or allocated, the model
+    that n, L and p ask for must pass :func:`check_model_size`, as every
+    model the training functions return does. A version-1 document also
+    holds the compression block, which must be the exact monomial partition,
+    and the diagnostics ``nu`` (finite, > 0) and ``rng_name`` (a string).
+    These are checked, then dropped, and the rest is read as version 2,
+    whose document holds exactly the keys :func:`save_model` writes.
 
     Raises
     ------
@@ -369,6 +378,8 @@ def load_model(path: str | Path) -> RRCModel:
         n, L, p = _checked_size(doc)
         if version == 1:
             _drop_v1_fields(doc, n, L, p)
+        _require(doc.keys() == _DOC_KEYS,
+                 f"model document keys must be {sorted(_DOC_KEYS)}, got {sorted(doc)}")
         return _model_from_doc(doc, n, L, p)
     # OverflowError: an integer too large for a float where a number is expected.
     except (KeyError, TypeError, ValueError, OverflowError, DimensionMismatchError) as exc:
@@ -431,20 +442,16 @@ def _diagnostics_from_doc(fields: dict, W_hat: np.ndarray, n: int) -> TrainingDi
 
 
 def _checked_size(doc: dict) -> tuple[int, int, int]:
-    """n, L, p of the document, once the dense W_hat they ask for fits the budget."""
+    """n, L, p of the document, once the model they ask for fits the budget."""
     n, L, p = doc["n"], doc["L"], doc["p"]
     _require(
         all(type(v) is int and v >= 1 for v in (n, L, p)),
         f"n, L, p must be positive integers, got {n!r}, {L!r}, {p!r}",
     )
-    nL = n * L
-    # C(nL + p, p) >= nL + p: the first test bounds the second before math.comb runs.
-    _require(
-        nL * (nL + p) <= DEFAULT_FEATURE_BUDGET
-        and nL * math.comb(nL + p, p) <= DEFAULT_FEATURE_BUDGET,
-        f"n, L, p = {n}, {L}, {p} ask for a W_hat beyond the budget of "
-        f"{DEFAULT_FEATURE_BUDGET} entries",
-    )
+    try:
+        check_model_size(n * L, p)
+    except FeatureBudgetError as exc:
+        raise ModelFormatError(f"n, L, p = {n}, {L}, {p}: {exc}") from exc
     return n, L, p
 
 
@@ -472,6 +479,8 @@ def _drop_v1_fields(doc: dict, n: int, L: int, p: int) -> None:
 def _model_from_doc(doc: dict, n: int, L: int, p: int) -> RRCModel:
     shape = (n * L, math.comb(n * L + p, p))
     w_doc = doc["W_hat"]
+    _require(isinstance(w_doc, dict) and w_doc.keys() == _W_HAT_KEYS,
+             f"W_hat must be an object with keys {sorted(_W_HAT_KEYS)}")
     dims = (w_doc["rows"], w_doc["cols"])
     _require(all(type(v) is int for v in dims) and dims == shape,
              f"W_hat is {dims!r}, expected {shape}")

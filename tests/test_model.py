@@ -13,6 +13,7 @@ from rrckit.cli import main
 from rrckit.embedding import DEFAULT_FEATURE_BUDGET
 from rrckit.errors import (
     DimensionMismatchError,
+    FeatureBudgetError,
     ModelFormatError,
     ModelVersionError,
     NumericBlowupError,
@@ -527,8 +528,18 @@ def _zero_first_coefficient(doc):
 V1_DEFECTS = {"missing_compression", "reordered_groups", "infinite_nu", "zero_nu",
               "numeric_rng_name"}
 
+def _v2_with_compression(doc):
+    # A version-2 document that still holds a version-1 block.
+    doc.update(schema_version=2,
+               compression=json.loads(V1_FIXTURE.read_text())["compression"])
+
+
 MODEL_DEFECTS = {
     "missing_compression": lambda doc: doc.pop("compression"),
+    "v2_with_compression": _v2_with_compression,
+    "extra_top_level_key": lambda doc: doc.update(extra=1),
+    "extra_w_hat_key": lambda doc: doc["W_hat"].update(extra=1),
+    "w_hat_as_list": lambda doc: doc.update(W_hat=[doc["W_hat"]]),
     "extra_diagnostics_key": lambda doc: doc["diagnostics"].update(extra=1),
     "triplet_row_out_of_range": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(0, 99),
     "negative_triplet_column": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(1, -1),
@@ -595,7 +606,7 @@ def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
 
 def _smallest_p_over_budget(nL):
     p = 1
-    while nL * math.comb(nL + p, p) <= DEFAULT_FEATURE_BUDGET:
+    while (nL + p) * math.comb(nL + p, p) <= DEFAULT_FEATURE_BUDGET:
         p += 1
     return p
 
@@ -604,12 +615,15 @@ def _smallest_p_over_budget(nL):
     ({"p": 10**9}, True),
     ({"L": 10**9}, True),
     ({"n": 10**9, "L": 10**9, "p": 10**9}, True),
-    # nL (nL + p) is within the budget; nL C(nL + p, p) is just above it.
+    # (nL + p)**2 is within the budget; (nL + p) C(nL + p, p) is just above it.
     ({"n": 2, "L": 1, "p": _smallest_p_over_budget(2)}, True),
     ({"n": 3, "L": 3, "p": _smallest_p_over_budget(9)}, True),
+    # Small coupling matrices whose p index tables are not small.
+    ({"n": 1, "L": 1, "p": DEFAULT_FEATURE_BUDGET - 2}, True),
+    ({"n": 2, "L": 1, "p": 3000}, True),
     # Within the budget, loading goes on and fails, as fast, on the next field.
     ({"n": 2, "L": 1, "p": _smallest_p_over_budget(2) - 1}, False),
-    ({"n": 1, "L": 1, "p": DEFAULT_FEATURE_BUDGET - 2}, False),
+    ({"n": 1, "L": 1, "p": _smallest_p_over_budget(1) - 1}, False),
 ])
 @pytest.mark.parametrize("version", [1, 2])
 def test_size_is_checked_before_the_model_is_built(size, over_budget, version, tmp_path):
@@ -622,6 +636,45 @@ def test_size_is_checked_before_the_model_is_built(size, over_budget, version, t
         rk.load_model(path)
     assert time.perf_counter() - start < 1.0
     assert ("budget" in str(err.value)) == over_budget
+
+
+def _largest_model_document(nL, tmp_path):
+    """An empty order-p model on one channel with nL = L window slots, p the
+    largest the budget admits."""
+    doc = _saved_document(2, tmp_path)
+    p = _smallest_p_over_budget(nL) - 1
+    doc.update(n=1, L=nL, p=p, selector_offset=nL)
+    doc["W_hat"] = {"rows": nL, "cols": math.comb(nL + p, p), "triplets": []}
+    doc["diagnostics"].update(nnz=0, column_residuals=[0.0] * nL,
+                              column_bounds=[0.0] * nL, train_min=[0.0], train_max=[1.0])
+    return doc
+
+
+@pytest.mark.parametrize("nL", [1, 2])
+def test_largest_model_within_the_budget_forecasts_quickly(nL, tmp_path):
+    """The budget bounds the work of a step too: its p index tables and
+    the product with W_hat."""
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(_largest_model_document(nL, tmp_path)))
+    start = time.perf_counter()
+    model = rk.load_model(path)
+    assert np.array_equal(rk.forecast(model, np.full(nL, 0.5), 1).values, [[0.0]])
+    assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize("nL", [1, 2, 9])
+def test_training_refuses_what_loading_refuses(nL):
+    p = _smallest_p_over_budget(nL)
+    series = rk.TimeSeries(np.zeros((5, nL)))
+    cfg = rk.EmbeddingConfig(L=1, p=p)
+    start = time.perf_counter()
+    with pytest.raises(FeatureBudgetError):
+        rk.train_rrc(series, series, cfg, TIGHT)
+    with pytest.raises(FeatureBudgetError):
+        rk.train_autoregressive(series, cfg, TIGHT)
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(FeatureBudgetError):
+        rk.train_autoregressive(series, rk.EmbeddingConfig(L=1, p=10**9), TIGHT)
 
 
 @pytest.mark.parametrize("literal, message", [
