@@ -315,12 +315,15 @@ def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     lags = []
     for j in range(series.n):
         # Each lag's value is computed as :func:`autocorrelation` computes it,
-        # up to the first crossing; no crossing reports T - 1.
-        x = series.values[:, j].copy()  # contiguous, as autocorrelation's input
+        # up to the first crossing; no crossing reports T - 1. The channel is
+        # first scaled by the power of two of its peak, which leaves every
+        # ratio's bits as they are but keeps the sums below overflow.
+        x = series.values[:, j]
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])  # contiguous, as in autocorrelation
         c = x - x.mean()
         denom = float(np.dot(c, c))
         k = 1
-        if 0.0 < denom < np.inf:  # otherwise every value is NaN: report lag 1
+        if denom > 0.0:  # otherwise every value is NaN: report lag 1
             while k < T - 1 and not float(np.dot(c[: T - k], c[k:])) / denom < threshold:
                 k += 1
         lags.append(k)

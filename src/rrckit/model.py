@@ -3,8 +3,8 @@
 A trained model evaluates the distinct polynomial monomials of a delay
 window (the Kronecker features averaged by the exact compression matrix) and
 maps them through a sparse output-coupling matrix; a 0/1 selector then
-extracts one predicted sample per channel from the dilated output. Iterating
-prediction and window sliding simulates the system forward.
+extracts each channel's newest predicted sample from the dilated output.
+Iterating prediction and window sliding simulates the system forward.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .compression import CompressionMatrix, compression_matrix_exact
 from .embedding import EmbeddingConfig, TimeSeries, check_model_size, feature_dim
-from .embedding import monomial_features, paired_windows
+from .embedding import _window_matrix, monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
     FeatureBudgetError,
@@ -66,20 +66,23 @@ class TrainingDiagnostics:
     seed: int
 
 
+def _newest_slots(n: int, L: int) -> np.ndarray:
+    """0-based index of each channel block's newest slot in an nL window."""
+    return np.arange(n) * L + (L - 1)
+
+
 @dataclass(eq=False)
 class RRCModel:
     """A trained model: embedding parameters, compression, output coupling.
 
     W_hat has one row per window slot (nL rows) and one column per
-    compressed feature; selector_offset in [1, L] picks which slot of each
-    channel block the selector exposes (L = newest, which is what advances
-    an autoregressive rollout).
+    compressed feature; the selector exposes the newest slot of each channel
+    block, the sample that advances an autoregressive rollout.
     """
 
     n: int
     L: int
     p: int
-    selector_offset: int
     W_hat: np.ndarray
     diagnostics: TrainingDiagnostics
 
@@ -90,17 +93,12 @@ class RRCModel:
             raise DimensionMismatchError(
                 f"W_hat shape {self.W_hat.shape}, expected ({nL}, {rho})"
             )
-        if not 1 <= self.selector_offset <= self.L:
-            raise ValueError(
-                f"selector_offset must lie in [1, {self.L}], got {self.selector_offset}"
-            )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RRCModel):
             return NotImplemented
         return (
-            (self.n, self.L, self.p, self.selector_offset)
-            == (other.n, other.L, other.p, other.selector_offset)
+            (self.n, self.L, self.p) == (other.n, other.L, other.p)
             and np.array_equal(self.W_hat, other.W_hat)
             and self.diagnostics == other.diagnostics
         )
@@ -112,8 +110,8 @@ class RRCModel:
 
     @property
     def selector_indices(self) -> np.ndarray:
-        """0-based window-slot index selected for each channel."""
-        return np.arange(self.n) * self.L + (self.selector_offset - 1)
+        """0-based window-slot index selected for each channel: its newest."""
+        return _newest_slots(self.n, self.L)
 
 
 def selector_matrix(n: int, L: int, offset: int) -> np.ndarray:
@@ -132,7 +130,6 @@ def train_rrc(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int = 0,
-    selector_offset: int | None = None,
 ) -> RRCModel:
     """Identify the sparse output-coupling matrix mapping x windows to y windows.
 
@@ -157,8 +154,7 @@ def train_rrc(
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
     G = monomial_features(Xw, cfg.p)      # (rho, cols)
     W_hat = np.zeros((H1.shape[0], G.shape[0]))
-    return _fit(x, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver,
-                seed, selector_offset)
+    return _fit(x.values, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver, seed)
 
 
 def train_autoregressive(
@@ -166,7 +162,6 @@ def train_autoregressive(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int = 0,
-    selector_offset: int | None = None,
 ) -> RRCModel:
     """Train on one-step-ahead targets: pair each sample with its successor.
 
@@ -181,19 +176,17 @@ def train_autoregressive(
             f"autoregressive training needs at least L + 1 = {cfg.L + 1} samples, got {x.T}"
         )
     check_model_size(x.n * cfg.L, cfg.p)
-    x_in = TimeSeries(x.values[:-1], dt=x.dt, labels=x.labels)
-    y_out = TimeSeries(x.values[1:], dt=x.dt, labels=x.labels)
-    Xw, H1 = paired_windows(x_in, y_out, cfg.L)
-    G = monomial_features(Xw, cfg.p)
+    windows = _window_matrix(x.values, cfg.L)  # column k + 1 is column k's successor
+    G = monomial_features(windows[:, :-1], cfg.p)
+    H1 = windows[:, 1:]
     # Row i copies slot i + 1: a 1.0 on its linear monomial, G's row i + 1.
     # The newest rows' entries are overwritten by the fit.
     W_hat = np.eye(H1.shape[0], G.shape[0], k=1)
-    newest = np.arange(x.n) * cfg.L + (cfg.L - 1)
-    return _fit(x_in, G, H1, W_hat, newest, cfg, solver, seed, selector_offset)
+    return _fit(x.values[:-1], G, H1, W_hat, _newest_slots(x.n, cfg.L), cfg, solver, seed)
 
 
 def _fit(
-    x: TimeSeries,
+    inputs: np.ndarray,
     G: np.ndarray,
     H1: np.ndarray,
     W_hat: np.ndarray,
@@ -201,9 +194,10 @@ def _fit(
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int,
-    selector_offset: int | None,
 ) -> RRCModel:
     """Solve the given rows of W_hat G = H1 into W_hat; its other rows are exact.
+
+    ``inputs`` (T x n) are the input samples, whose range the rollout guard uses.
 
     An exact row, a single 1.0 at column j, reproduces its target, the
     feature row G[j], so its residual is 0. Its certificate in
@@ -234,21 +228,15 @@ def _fit(
         relative_residual=residual_fro / h1_norm if h1_norm > 0 else 0.0,
         column_residuals=column_residuals.tolist(),
         column_bounds=column_bounds.tolist(),
-        train_min=[float(v) for v in x.values.min(axis=0)],
-        train_max=[float(v) for v in x.values.max(axis=0)],
+        train_min=[float(v) for v in inputs.min(axis=0)],
+        train_max=[float(v) for v in inputs.max(axis=0)],
         delta=solver.delta,
         epsilon=solver.epsilon,
         max_iter=solver.max_iter,
         seed=seed,
     )
-    return RRCModel(
-        n=x.n,
-        L=cfg.L,
-        p=cfg.p,
-        selector_offset=cfg.L if selector_offset is None else selector_offset,
-        W_hat=W_hat,
-        diagnostics=diagnostics,
-    )
+    return RRCModel(n=inputs.shape[1], L=cfg.L, p=cfg.p, W_hat=W_hat,
+                    diagnostics=diagnostics)
 
 
 def transform(model: RRCModel, window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,7 +322,7 @@ def save_model(model: RRCModel, path: str | Path) -> None:
         "n": model.n,
         "L": model.L,
         "p": model.p,
-        "selector_offset": model.selector_offset,
+        "selector_offset": model.L,  # the selector's slot in each block: the newest
         "W_hat": {"rows": rows, "cols": cols, "triplets": triplets},
         "diagnostics": asdict(model.diagnostics),
     }
@@ -502,12 +490,7 @@ def _model_from_doc(doc: dict, n: int, L: int, p: int) -> RRCModel:
     _require(np.count_nonzero(W_hat) == len(values), "W_hat has two triplets at one index")
 
     offset = doc["selector_offset"]
-    _require(type(offset) is int, f"selector_offset must be an integer, got {offset!r}")
-    return RRCModel(
-        n=n,
-        L=L,
-        p=p,
-        selector_offset=offset,
-        W_hat=W_hat,
-        diagnostics=_diagnostics_from_doc(doc["diagnostics"], W_hat, n),
-    )
+    _require(type(offset) is int and offset == L,
+             f"selector_offset must be the integer L = {L}, got {offset!r}")
+    return RRCModel(n=n, L=L, p=p, W_hat=W_hat,
+                    diagnostics=_diagnostics_from_doc(doc["diagnostics"], W_hat, n))

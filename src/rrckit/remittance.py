@@ -41,7 +41,6 @@ class RemittancePanel:
 
     R: np.ndarray
     D: np.ndarray
-    period_labels: list[str] | None = None
 
     def __post_init__(self):
         self.R = np.asarray(self.R, dtype=float)
@@ -56,8 +55,6 @@ class RemittancePanel:
             raise ValueError("panel must be non-empty")
         if not (np.all(np.isfinite(self.R)) and np.all(np.isfinite(self.D))):
             raise ValueError("panel values must be finite")
-        if self.period_labels is not None and len(self.period_labels) != self.quarters:
-            raise ValueError("one period label per quarter required")
 
     @property
     def quarters(self) -> int:
@@ -84,14 +81,9 @@ class RemittanceModel:
     kind: str                      # "nonlagged" | "lagged"
     M: np.ndarray                  # (institutions, features)
     regions: int
-    train_fraction: float
     rank: int
     nnz: int
     residual_fro: float
-
-    @property
-    def lags(self) -> int:
-        return 2 if self.kind == "lagged" else 1
 
 
 @dataclass
@@ -104,8 +96,6 @@ class ExposureReport:
 
     exposures: np.ndarray
     fitted: np.ndarray
-    model_kind: str
-    train_fraction: float
     eval_start: int
 
 
@@ -147,7 +137,6 @@ def _fit(
         kind=kind,
         M=M,
         regions=panel.regions,
-        train_fraction=train_fraction,
         rank=solution.rank,
         nnz=int(np.count_nonzero(M)),
         residual_fro=residual,
@@ -171,8 +160,6 @@ def _fit(
     report = ExposureReport(
         exposures=exposure(observed, fitted),
         fitted=fitted,
-        model_kind=kind,
-        train_fraction=train_fraction,
         eval_start=report_start,
     )
     return model, report
@@ -237,6 +224,10 @@ def exposure(observed: np.ndarray, fitted: np.ndarray) -> np.ndarray:
     for j, peak in enumerate(peaks):
         if peak == 0.0:
             raise DegenerateChannelError(channel=j)
+    # Scaling each column by the power of two of its peak changes no bit of
+    # the ratio but keeps the squares of large values below overflow.
+    scale = -np.frexp(peaks)[1]
+    observed, fitted, peaks = (np.ldexp(a, scale) for a in (observed, fitted, peaks))
     steps = observed.shape[0]
     rms = np.sqrt(np.sum((fitted - observed) ** 2, axis=0))
     return rms / (np.sqrt(steps) * peaks)
@@ -315,6 +306,4 @@ def synth_panel(
         scale = np.mean(np.abs(D), axis=0)
         D = D + noise_level * scale[None, :] * rng.standard_normal(D.shape)
 
-    labels = [f"{2017 + i // 4}Q{i % 4 + 1}" for i in range(quarters)]
-    panel = RemittancePanel(R=r_full[1:], D=D, period_labels=labels)
-    return panel, {"M0": M0, "M1": M1, "bias": bias}
+    return RemittancePanel(R=r_full[1:], D=D), {"M0": M0, "M1": M1, "bias": bias}

@@ -241,6 +241,16 @@ class TestLagSuggestion:
         with pytest.raises(ValueError):
             rk.suggest_lag(rk.TimeSeries(np.array([1.0, 2.0])))
 
+    @pytest.mark.parametrize("scale", [1e200, 1.5e308, 1e-300])
+    def test_channel_magnitude_does_not_move_its_lag(self, scale):
+        # Unscaled, the sums of the centred channel overflow (a mean near the
+        # float maximum, dot(c, c) at 1e200) or underflow to 0 (1e-300), and
+        # the scaled channel was reported at lag 1.
+        t = np.arange(400) * 0.1
+        b = np.cos(2 * np.pi * t / 4)
+        lags, suggestion = rk.suggest_lag(rk.TimeSeries(np.column_stack([scale * b, b])))
+        assert lags == [8, 8] and suggestion == 8
+
     def test_first_crossing_matches_full_range(self):
         # Oracle: the first 1/e crossing of the autocorrelation over every
         # lag up to T - 1, which suggest_lag computed before it stopped early.

@@ -1,4 +1,4 @@
-"""Property tests of model persistence: save/load identity and fuzzed documents."""
+"""Property tests: the rollout's selector, save/load identity, fuzzed model documents."""
 
 import json
 import math
@@ -46,8 +46,7 @@ def models(draw):
         max_iter=draw(st.integers(1, 10**6)),
         seed=draw(st.integers(0, 2**64)),
     )
-    return rk.RRCModel(n=n, L=L, p=p, selector_offset=draw(st.integers(1, L)),
-                       W_hat=W_hat, diagnostics=diagnostics)
+    return rk.RRCModel(n=n, L=L, p=p, W_hat=W_hat, diagnostics=diagnostics)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +66,23 @@ def test_save_load_identity(model, workdir):
     text = path.read_bytes()
     rk.save_model(loaded, path)
     assert path.read_bytes() == text
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), L=st.integers(1, 4), p=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_rollout_slides_to_the_dilated_output(n, L, p, seed):
+    """Every slot the selector leaves out is an exact copy of the window's next
+    slot, so iterating transform's dilated output reproduces forecast bit for bit."""
+    rng = np.random.default_rng(seed)
+    series = rk.TimeSeries(np.tanh(np.cumsum(rng.standard_normal((60, n)), axis=0)))
+    model = rk.train_autoregressive(series, rk.EmbeddingConfig(L=L, p=p),
+                                    rk.SolverConfig(delta=1e-8, epsilon=1e-8))
+    window = rk.delay_embed(series, L, series.T)
+    rollout = rk.forecast(model, window, 3, guard_factor=1e300).values
+    for step in range(3):
+        window, selected = rk.transform(model, window)
+        assert rollout[step].tobytes() == selected.tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -108,7 +108,6 @@ def as_dense_model(model: RRCModel, W_bar: np.ndarray) -> RRCModel:
         n=model.n,
         L=model.L,
         p=model.p,
-        selector_offset=model.selector_offset,
         W_hat=np.ascontiguousarray(W_bar),
         diagnostics=model.diagnostics,
     )
