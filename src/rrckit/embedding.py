@@ -284,12 +284,22 @@ def build_data_matrices(
     return DataMatrices(H0=H0, H1=H1, t_range=(cfg.L, x.T))
 
 
+def _unit_peak(x: np.ndarray) -> np.ndarray:
+    """x scaled by the power of two of its peak magnitude, as a new array.
+
+    The scaling is exact and commutes with the mean and the subtraction, so
+    a ratio of sums keeps its bits, while the sums of squares stay below
+    overflow.
+    """
+    return np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+
+
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelation at lags 0..max_lag (biased normalization).
 
     Returns NaN at every lag for a zero-variance (constant) channel.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _unit_peak(np.asarray(x, dtype=float).ravel())
     centered = x - x.mean()
     denom = float(np.dot(centered, centered))
     out = np.empty(max_lag + 1)
@@ -315,11 +325,8 @@ def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     lags = []
     for j in range(series.n):
         # Each lag's value is computed as :func:`autocorrelation` computes it,
-        # up to the first crossing; no crossing reports T - 1. The channel is
-        # first scaled by the power of two of its peak, which leaves every
-        # ratio's bits as they are but keeps the sums below overflow.
-        x = series.values[:, j]
-        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])  # contiguous, as in autocorrelation
+        # up to the first crossing; no crossing reports T - 1.
+        x = _unit_peak(series.values[:, j])
         c = x - x.mean()
         denom = float(np.dot(c, c))
         k = 1

@@ -251,6 +251,16 @@ class TestLagSuggestion:
         lags, suggestion = rk.suggest_lag(rk.TimeSeries(np.column_stack([scale * b, b])))
         assert lags == [8, 8] and suggestion == 8
 
+    def test_autocorrelation_is_scale_free(self):
+        # Unscaled, dot(c, c) of the 1e200 channel overflows and every lag
+        # reads NaN.
+        t = np.arange(400) * 0.1
+        b = np.cos(2 * np.pi * t / 4)
+        expected = autocorrelation(b, 3)
+        for exponent in (664, -600):  # 2**664 is about 1e200
+            assert np.array_equal(autocorrelation(np.ldexp(b, exponent), 3), expected)
+        np.testing.assert_allclose(autocorrelation(b * 1e200, 3), expected, rtol=1e-12)
+
     def test_first_crossing_matches_full_range(self):
         # Oracle: the first 1/e crossing of the autocorrelation over every
         # lag up to T - 1, which suggest_lag computed before it stopped early.

@@ -10,7 +10,7 @@ from rrckit import finance
 from rrckit.errors import StepUnderflowError
 from rrckit.finance import financial_rhs, integrate_ode, uniform_grid
 
-from testutil import integrate_ode_per_sample, rk45_fixed
+from testutil import integrate_ode_per_sample, rk45_fixed, rk_step_numpy
 
 
 class TestRhs:
@@ -30,19 +30,22 @@ class TestRhs:
 class TestIntegrator:
     def test_exponential_endpoint(self):
         grid = rk.SimulationGrid(t_end=1.0, samples=11, rtol=1e-9, atol=1e-11)
-        vals = integrate_ode(lambda t, y: -y, np.array([1.0]), grid)
+        vals = integrate_ode(lambda t, y: [-v for v in y], np.array([1.0]), grid)
         assert abs(vals[-1, 0] - math.exp(-1.0)) <= 1e-8
 
     def test_dense_output_interior(self):
         grid = rk.SimulationGrid(t_end=1.0, samples=21, rtol=1e-10, atol=1e-12)
-        vals = integrate_ode(lambda t, y: -y, np.array([1.0]), grid)
+        vals = integrate_ode(lambda t, y: [-v for v in y], np.array([1.0]), grid)
         ts = uniform_grid(1.0, 21)
         errs = np.abs(vals[:, 0] - np.exp(-ts))
         assert errs.max() <= 1e-7
 
     def test_fixed_step_order_four(self):
-        coarse = abs(rk45_fixed(lambda t, y: -y, np.array([1.0]), 1.0, 20)[0] - math.exp(-1))
-        fine = abs(rk45_fixed(lambda t, y: -y, np.array([1.0]), 1.0, 40)[0] - math.exp(-1))
+        def decay(t, y):
+            return [-v for v in y]
+
+        coarse = abs(rk45_fixed(decay, np.array([1.0]), 1.0, 20)[0] - math.exp(-1))
+        fine = abs(rk45_fixed(decay, np.array([1.0]), 1.0, 40)[0] - math.exp(-1))
         assert coarse / fine >= 8.0
 
     def test_grid_fidelity(self):
@@ -62,7 +65,7 @@ class TestIntegrator:
         # y' = y^2 from y(0)=1 blows up at t=1, inside [0, 2]
         grid = rk.SimulationGrid(t_end=2.0, samples=10)
         with pytest.raises(StepUnderflowError):
-            integrate_ode(lambda t, y: y * y, np.array([1.0]), grid)
+            integrate_ode(lambda t, y: [v * v for v in y], np.array([1.0]), grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
@@ -71,12 +74,39 @@ class TestIntegrator:
             rk.SimulationGrid(t_end=1.0, samples=1)
         with pytest.raises(ValueError):
             rk.SimulationGrid(t_end=1.0, samples=10, rtol=0.0)
+        with pytest.raises(ValueError, match="y0"):
+            integrate_ode(lambda t, y: [], [], rk.SimulationGrid(t_end=1.0, samples=10))
+
+    @pytest.mark.parametrize("field", ["rtol", "atol"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            rk.SimulationGrid(t_end=1.0, samples=10, **{field: value})
+
+    def test_rhs_gets_a_list_of_floats(self):
+        seen = []
+
+        def rhs(t, y):
+            seen.append(type(y) is list and all(type(v) is float for v in y))
+            return financial_rhs(y, rk.CHAOTIC)
+
+        integrate_ode(rhs, np.array([2.0, 3.0, 2.0]), rk.SimulationGrid(t_end=1.0, samples=11))
+        assert seen and all(seen)
 
     @pytest.mark.parametrize("t_end", [math.inf, math.nan])
     def test_non_finite_t_end_rejected(self, t_end):
         # an infinite t_end makes the step floor infinite and the controller never ends
         with pytest.raises(ValueError, match="t_end"):
             rk.SimulationGrid(t_end=t_end, samples=10)
+
+
+class TestParams:
+    @pytest.mark.parametrize("field", ["s", "c", "e", "x0", "y0", "z0"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_rejected(self, field, value):
+        values = {**dict(s=3.0, c=0.1, e=1.0, x0=2.0, y0=3.0, z0=2.0), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            rk.FinancialParams(**values)
 
 
 class TestRegimes:
@@ -154,6 +184,53 @@ class TestDenseOutputOracle:
         messages = []
         for integrator in (integrate_ode, integrate_ode_per_sample):
             with pytest.raises(StepUnderflowError) as info:
-                integrator(lambda t, y: y * y, np.array([1.0]), grid)
+                integrator(lambda t, y: [v * v for v in y], np.array([1.0]), grid)
             messages.append(str(info.value))
         assert messages[0] == messages[1]
+
+
+def _recording(step, starts):
+    """``step`` that appends the start time of every attempted step to ``starts``."""
+
+    def recorded(rhs, t, y, h, f):
+        starts.append(t)
+        return step(rhs, t, y, h, f)
+
+    return recorded
+
+
+class TestFloatStep:
+    """The plain-float step against the numpy formulation of the same tableau."""
+
+    @pytest.mark.parametrize("params", [rk.CHAOTIC, rk.PERIODIC], ids=["chaotic", "periodic"])
+    def test_step_matches_numpy_oracle(self, params):
+        rng = np.random.default_rng(90)
+        orbit = rk.integrate(params, rk.SimulationGrid(t_end=120.0, samples=1200)).values
+        rhs = _rhs(params)
+        for _ in range(500):
+            y = (orbit[rng.integers(orbit.shape[0])] + 0.1 * rng.standard_normal(3)).tolist()
+            h = float(10 ** rng.uniform(-4, -0.5))
+            f = rhs(0.0, y)
+            y4, err = finance._rk_step(rhs, 0.0, y, h, f)
+            y4_oracle, err_oracle = rk_step_numpy(rhs, 0.0, y, h, f)
+            assert np.max(np.abs(np.subtract(y4, y4_oracle))) <= 1e-14 * np.max(np.abs(y4_oracle))
+            # err is a difference of two nearly equal solutions; its rounding
+            # is relative to the size of the step's increment, h |f|
+            assert np.max(np.abs(np.subtract(err, err_oracle))) <= 1e-14 * h * np.max(np.abs(f))
+
+    def test_orbit_matches_numpy_step_oracle(self, monkeypatch):
+        grid = rk.SimulationGrid(t_end=120.0, samples=12000)
+        rhs, y0 = _rhs(rk.CHAOTIC), np.array([2.0, 3.0, 2.0])
+        starts, oracle_starts = [], []
+        monkeypatch.setattr(finance, "_rk_step", _recording(finance._rk_step, starts))
+        values = integrate_ode(rhs, y0, grid)
+        expected = integrate_ode_per_sample(
+            rhs, y0, grid, step=_recording(rk_step_numpy, oracle_starts)
+        )
+        # A rejected step is retried from the same time and an accepted one
+        # moves it on, so the distinct start times count the accepted steps.
+        assert len(set(starts)) == len(set(oracle_starts)) == 2435
+        # Rounding differences grow with the chaotic orbit; up to t = 40 they
+        # stay near 1e-13.
+        early = uniform_grid(grid.t_end, grid.samples) <= 40.0
+        np.testing.assert_allclose(values[early], expected[early], rtol=0, atol=1e-11)

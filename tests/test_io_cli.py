@@ -1,6 +1,10 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,17 @@ from rrckit.io import read_timeseries_csv, write_timeseries_csv
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_cli_process(*argv, **env):
+    """``python -m rrckit.cli`` in a fresh process, with extra environment variables."""
+    src = str(Path(rk.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "rrckit.cli", *argv],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True, text=True, timeout=60,
+    )
 
 
 class TestCsvRoundTrip:
@@ -139,6 +154,18 @@ class TestSimulate:
     def test_malformed_params(self, tmp_path):
         assert run_cli("simulate", "--params", "1,2", "--ic", "1,1,1",
                        "--out", str(tmp_path / "x.csv")) == 2
+
+    def test_nan_initial_step_fails_instead_of_hanging(self, tmp_path):
+        # Tolerances near the float minimum make the initial step estimate
+        # inf / inf = NaN, which no step-floor comparison caught.
+        out = tmp_path / "o.csv"
+        proc = run_cli_process("simulate", "--regime", "chaotic", "--rtol", "1e-300",
+                               "--atol", "1e-300", "--t-end", "1", "--samples", "10",
+                               "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: step ") and "fell below" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
 
     def test_grid_defaults(self):
         from rrckit.cli import build_parser
@@ -343,6 +370,18 @@ class TestDeterminism:
                            "--t-end", "10", "--out", str(out)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_simulate_bytes_independent_of_blas_threads(self, tmp_path):
+        # The integrator does plain float arithmetic, so no BLAS call decides
+        # an orbit's bits.
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"orbit_{threads}.csv"
+            proc = run_cli_process("simulate", "--regime", "chaotic", "--out", str(out),
+                                   OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_train_and_forecast_bytes_identical(self, orbit_csv, tmp_path):
         models, forecasts = [], []
         for tag in ("a", "b"):
@@ -443,6 +482,16 @@ BOUNDARY_CASES = [
      "guard_factor"),
     ("t-end-inf", ["simulate", "--regime", "chaotic", "--t-end", "inf", "--out", "{out}"],
      "t_end"),
+    ("ic-inf", ["simulate", "--params", "3,0.1,1", "--ic", "inf,3,2", "--out", "{out}"],
+     "x0 must be finite, got inf"),
+    ("ic-nan", ["simulate", "--params", "3,0.1,1", "--ic", "nan,3,2", "--out", "{out}"],
+     "x0 must be finite, got nan"),
+    ("params-nan", ["simulate", "--params", "nan,0.1,1", "--ic", "2,3,2", "--out", "{out}"],
+     "s must be finite, got nan"),
+    ("rtol-inf", ["simulate", "--regime", "chaotic", "--rtol", "inf", "--out", "{out}"],
+     "rtol must be finite and > 0, got inf"),
+    ("atol-nan", ["simulate", "--regime", "chaotic", "--atol", "nan", "--out", "{out}"],
+     "atol must be finite and > 0, got nan"),
     ("ragged-row", ["train", "--input", "{ragged}", "--lag", "2", "--out", "{out}"],
      "ragged.csv:6: expected 4 fields, got 3"),
     ("non-numeric-cell", ["train", "--input", "{abc}", "--lag", "2", "--out", "{out}"],

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -11,7 +11,6 @@ from rrckit.compression import compress
 from rrckit.embedding import build_data_matrices
 from rrckit import finance
 from rrckit.errors import RankZeroError, StepUnderflowError
-from rrckit.finance import _rk_step
 from rrckit.linalg import SolverConfig, _Projection, _truncated_projection
 from rrckit.model import RRCModel
 
@@ -124,8 +123,31 @@ def residual_certificate(A: np.ndarray, y: np.ndarray, x: np.ndarray, delta: flo
     )
 
 
+def rk_step_numpy(
+    rhs: Callable[[float, list[float]], Sequence[float]],
+    t: float,
+    y: Sequence[float],
+    h: float,
+    f0: Sequence[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for ``finance._rk_step``: the same tableau applied with numpy products.
+
+    Each stage combination is one ``np.dot`` over the earlier stages, whose
+    rounding may differ from the package's left-to-right float sums.
+    Returns (y4, err) as arrays.
+    """
+    C, B4, B5 = (np.asarray(v) for v in (finance._C, finance._B4, finance._B5))
+    y = np.asarray(y, dtype=float)
+    k = np.empty((6, y.size))
+    k[0] = f0
+    for i in range(1, 6):
+        yi = y + h * np.dot(np.asarray(finance._A[i]), k[:i])
+        k[i] = rhs(t + C[i] * h, yi.tolist())
+    return y + h * (B4 @ k), h * ((B5 - B4) @ k)
+
+
 def rk45_fixed(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list[float]], Sequence[float]],
     y0: np.ndarray,
     t_end: float,
     steps: int,
@@ -134,25 +156,29 @@ def rk45_fixed(
 
     An order-verification aid: the step's fourth-order error is checked by
     halving the step size."""
-    y = np.asarray(y0, dtype=float).copy()
+    y = np.asarray(y0, dtype=float).tolist()
     h = t_end / steps
     t = 0.0
     for _ in range(steps):
-        y, _ = _rk_step(rhs, t, y, h, rhs(t, y))
+        y, _ = finance._rk_step(rhs, t, y, h, rhs(t, y))
         t += h
-    return y
+    return np.asarray(y)
 
 
 def integrate_ode_per_sample(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
+    rhs: Callable[[float, list[float]], Sequence[float]],
     y0: np.ndarray,
     grid: rk.SimulationGrid,
+    step: Callable | None = None,
 ) -> np.ndarray:
     """Oracle for ``integrate_ode``: dense output evaluated one sample at a time.
 
     The same step loop, with each grid sample interpolated inside the loop as
-    soon as an accepted step ends at or after it.
+    soon as an accepted step ends at or after it, and the step control done
+    with numpy. ``step`` replaces the package's ``_rk_step``, e.g. by
+    :func:`rk_step_numpy`.
     """
+    step = finance._rk_step if step is None else step
     y0 = np.asarray(y0, dtype=float)
     times = finance.uniform_grid(grid.t_end, grid.samples)
     out = np.empty((grid.samples, y0.size))
@@ -161,39 +187,43 @@ def integrate_ode_per_sample(
 
     t = 0.0
     y = y0.copy()
-    f = rhs(t, y)
+    f = np.asarray(rhs(t, y.tolist()), dtype=float)
     sc = grid.atol + grid.rtol * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 1e-300 else grid.t_end / 1000.0
+    if not np.isfinite(h):
+        h = grid.t_end / 1000.0
     h = min(max(h, finance._STEP_FLOOR * grid.t_end * 10), grid.t_end)
 
     floor = finance._STEP_FLOOR * grid.t_end
     while t < grid.t_end:
-        if h < floor:
+        if not h >= floor:
             raise StepUnderflowError(
                 f"step {h:.3e} fell below {floor:.3e} at t = {t:.6g}"
             )
         clipped = h >= grid.t_end - t
         h = min(h, grid.t_end - t)
-        y_new, err = _rk_step(rhs, t, y, h, f)
+        y_new, err = (
+            np.asarray(v, dtype=float) for v in step(rhs, t, y.tolist(), h, f.tolist())
+        )
         sc = grid.atol + grid.rtol * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
         if err_norm <= 1.0:
             t_new = grid.t_end if clipped else t + h
-            f_new = rhs(t_new, y_new)
+            f_new = np.asarray(rhs(t_new, y_new.tolist()), dtype=float)
             while next_sample < grid.samples and times[next_sample] <= t_new:
-                step = t_new - t
-                tau = (times[next_sample : next_sample + 1] - t) / step
+                step_h = t_new - t
+                tau = (times[next_sample : next_sample + 1] - t) / step_h
                 h00 = (1 + 2 * tau) * (1 - tau) ** 2
                 h10 = tau * (1 - tau) ** 2
                 h01 = tau * tau * (3 - 2 * tau)
                 h11 = tau * tau * (tau - 1)
                 out[next_sample] = (
                     np.outer(h00, y)
-                    + np.outer(h10, step * f)
+                    + np.outer(h10, step_h * f)
                     + np.outer(h01, y_new)
-                    + np.outer(h11, step * f_new)
+                    + np.outer(h11, step_h * f_new)
                 )[0]
                 next_sample += 1
             t, y, f = t_new, y_new, f_new
