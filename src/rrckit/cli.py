@@ -1,6 +1,7 @@
 """Command-line front end: simulate, train, forecast, exposure, suggest-lag.
 
-Exit codes: 0 success, 1 runtime or numeric failure (``RRCError``), 2 usage
+Exit codes: 0 success, 1 runtime or numeric failure (``RRCError``, or a
+``MemoryError`` from an allocation the flags ask for), 2 usage
 error (``ValueError`` or ``OSError``: a rejected flag value, a missing,
 unreadable or unwritable path, a malformed CSV). Inputs are validated by the
 library types that own them; :func:`main` is the one place that turns an
@@ -17,7 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingConfig, TimeSeries, delay_embed, feature_dim, suggest_lag
+from .embedding import (
+    EmbeddingConfig,
+    TimeSeries,
+    autocorrelation,
+    delay_embed,
+    feature_dim,
+    suggest_lag,
+)
 from .errors import DegenerateChannelError, RRCError
 from .finance import CHAOTIC, PERIODIC, FinancialParams, SimulationGrid, integrate
 from .io import read_timeseries_csv, write_table_csv, write_timeseries_csv
@@ -198,8 +206,7 @@ def cmd_forecast(args) -> int:
         nrmse = exposure_measure(
             truth.values[:steps], predicted.values[:steps]
         )
-        labels = truth.labels or [f"x{j+1}" for j in range(model.n)]
-        for label, value in zip(labels, nrmse):
+        for label, value in zip(truth.labels, nrmse):
             print(f"nrmse_{label}={value:.17g}")
     return 0
 
@@ -221,9 +228,7 @@ def cmd_exposure(args) -> int:
             panel, solver, train_fraction=args.train_frac, eval_range=args.eval_range
         )
     except DegenerateChannelError as exc:
-        labels = deposits.labels or []
-        label = labels[exc.channel] if exc.channel < len(labels) else None
-        raise DegenerateChannelError(exc.channel, label) from exc
+        raise DegenerateChannelError(exc.channel, deposits.labels[exc.channel]) from exc
 
     ranking = rank_exposures(report, k=panel.institutions)
     rank_of = {inst: pos + 1 for pos, (inst, _) in enumerate(ranking)}
@@ -247,11 +252,10 @@ def cmd_exposure(args) -> int:
     fitted_path = args.fitted_out or str(
         Path(args.out).with_name(Path(args.out).stem + "_fitted.csv")
     )
-    inst_labels = deposits.labels or [f"d{j+1}" for j in range(panel.institutions)]
     fitted_header = (
         ["quarter"]
-        + [f"obs_{label}" for label in inst_labels]
-        + [f"fit_{label}" for label in inst_labels]
+        + [f"obs_{label}" for label in deposits.labels]
+        + [f"fit_{label}" for label in deposits.labels]
     )
     fitted_rows = []
     for k in range(report.fitted.shape[0]):
@@ -292,10 +296,9 @@ def cmd_exposure(args) -> int:
 
 def cmd_suggest_lag(args) -> int:
     data = read_timeseries_csv(args.input)
-    labels = data.labels or [f"x{j+1}" for j in range(data.n)]
     lags, suggestion = suggest_lag(data)
-    for j, (label, lag) in enumerate(zip(labels, lags)):
-        if np.ptp(data.values[:, j]) == 0.0:
+    for j, (label, lag) in enumerate(zip(data.labels, lags)):
+        if np.isnan(autocorrelation(data.values[:, j], 0)[0]):
             print(
                 f"warning: channel {label} is constant; autocorrelation undefined, "
                 f"reporting lag 1",
@@ -325,6 +328,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except RRCError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return RUNTIME_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,12 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embedding import (
-    DEFAULT_FEATURE_BUDGET,
-    _sorted_monomial_indices,
-    eth_map,
-    feature_dim,
-)
+from .embedding import _sorted_monomial_indices, eth_map, feature_dim
 from .errors import DimensionMismatchError, GroupingDegenerateError
 
 __all__ = [
@@ -128,29 +123,21 @@ def _validate_params(n: int, L: int, p: int) -> None:
 
 
 def compression_matrix(
-    n: int,
-    L: int,
-    p: int,
-    nu: float = 1.0,
-    eps: float | None = None,
-    seed: int = 0,
-    budget: int = DEFAULT_FEATURE_BUDGET,
+    n: int, L: int, p: int, eps: float = 1e-9, seed: int = 0
 ) -> CompressionMatrix:
     """Randomized compression matrix from a generic Gaussian probe.
 
-    Draws nL standard normals (scaled by nu), expands them through the
-    order-p feature map, replaces the trailing constant slot with a fresh
-    normal draw, and greedily groups columns whose probe values lie within
-    eps of each other, scanning in index order and emitting one averaging
-    row per group leader. Deterministic for a fixed seed.
+    Draws nL standard normals, expands them through the order-p feature
+    map, replaces the trailing constant slot with a fresh normal draw, and
+    greedily groups columns whose probe values lie within eps of each other,
+    scanning in index order and emitting one averaging row per group leader.
+    Deterministic for a fixed seed.
 
     Parameters
     ----------
-    nu : float
-        Probe scale. Default 1.0.
-    eps : float, optional
-        Grouping tolerance; defaults to 1e-9 * max(1, nu**p), far below the
-        spacing of distinct monomials of a generic probe.
+    eps : float
+        Grouping tolerance; the default 1e-9 lies far below the spacing of
+        distinct monomials of a generic probe.
     seed : int
         Seeds the probe draw.
 
@@ -161,18 +148,13 @@ def compression_matrix(
         fails to cover every column — eps too large for the sample.
     """
     _validate_params(n, L, p)
-    if not nu > 0:
-        raise ValueError(f"nu must be > 0, got {nu}")
-    if eps is None:
-        eps = 1e-9 * max(1.0, nu**p)
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
 
     m = n * L
     d = feature_dim(m, p)
     rng = np.random.default_rng(seed)
-    probe = nu * rng.standard_normal(m)
-    x_tilde = eth_map(probe, p, budget)
+    x_tilde = eth_map(rng.standard_normal(m), p)
     x_tilde[-1] = rng.standard_normal()
 
     groups: list[tuple[int, ...]] = [(0,)]
@@ -208,8 +190,9 @@ def compress(R: CompressionMatrix, z: np.ndarray) -> np.ndarray:
     """Group means of a feature vector (or of each column of a matrix).
 
     Each output row is the arithmetic mean of z over one group, computed as
-    leader + mean(deviations) so groups of bit-equal entries reproduce the
-    shared value exactly.
+    leader - mean(leader - entries) so groups of bit-equal entries reproduce
+    the shared value exactly: x - x is +0.0, and leader - 0.0 keeps the sign
+    of a -0.0 leader, where leader + 0.0 would not.
     """
     z = np.asarray(z, dtype=float)
     if z.shape[0] != R.cols:
@@ -222,7 +205,7 @@ def compress(R: CompressionMatrix, z: np.ndarray) -> np.ndarray:
         if len(g) == 1:
             out[i] = lead
         else:
-            out[i] = lead + np.mean(z[list(g)] - lead, axis=0)
+            out[i] = lead - np.mean(lead - z[list(g)], axis=0)
     return out
 
 

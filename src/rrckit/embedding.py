@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import Callable
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 # Total feature entries allowed in one expansion; d_p(nL) grows like (nL)^p.
+# Read at each check, so a test can lower it for the whole package.
 DEFAULT_FEATURE_BUDGET = 10_000_000
 
 
@@ -101,13 +103,11 @@ class EmbeddingConfig:
 class DataMatrices:
     """Feature matrix H0 (d_p(nL) x cols), target matrix H1 (nL x cols).
 
-    Column k covers window end time L + k (1-based); ``t_range`` is the
-    inclusive (first, last) pair of covered end times.
+    Column k covers window end time L + k (1-based).
     """
 
     H0: np.ndarray
     H1: np.ndarray
-    t_range: tuple[int, int]
 
 
 def feature_dim(m: int, p: int) -> int:
@@ -116,10 +116,11 @@ def feature_dim(m: int, p: int) -> int:
     return p + 1 if m == 1 else (m ** (p + 1) - m) // (m - 1) + 1
 
 
-def _check_budget(entries: int, budget: int) -> None:
-    if entries > budget:
+def _check_budget(entries: int) -> None:
+    if entries > DEFAULT_FEATURE_BUDGET:
         raise FeatureBudgetError(
-            f"expansion needs {entries} entries, exceeding the budget of {budget}"
+            f"expansion needs {entries} entries, exceeding the budget of "
+            f"{DEFAULT_FEATURE_BUDGET}"
         )
 
 
@@ -138,7 +139,7 @@ def _sorted_monomial_indices(m: int, q: int) -> np.ndarray:
     return idx
 
 
-def kron_power(x: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET) -> np.ndarray:
+def kron_power(x: np.ndarray, p: int) -> np.ndarray:
     """p-fold Kronecker power of a vector, length len(x)**p.
 
     Entry ordering follows the recursive definition x (x) x^{(x)(p-1)};
@@ -147,14 +148,11 @@ def kron_power(x: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET) -> n
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    m = x.size
-    _check_budget(m**p, budget)
-    if p == 1:
-        return x.copy()
-    return np.prod(x[_sorted_monomial_indices(m, p)], axis=1)
+    _check_budget(x.size**p)
+    return np.prod(x[_sorted_monomial_indices(x.size, p)], axis=1)
 
 
-def eth_map(x: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET) -> np.ndarray:
+def eth_map(x: np.ndarray, p: int) -> np.ndarray:
     """Polynomial feature vector [x^(1); x^(2); ...; x^(p); 1] of length d_p(m).
 
     The final entry is exactly 1, carrying the constant term of any model
@@ -163,11 +161,8 @@ def eth_map(x: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET) -> np.n
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    m = x.size
-    _check_budget(feature_dim(m, p), budget)
-    parts = [kron_power(x, q, budget) for q in range(1, p + 1)]
-    parts.append(np.array([1.0]))
-    return np.concatenate(parts)
+    _check_budget(feature_dim(x.size, p))
+    return _stacked_products(x, _sorted_monomial_indices, p)
 
 
 @lru_cache(maxsize=64)
@@ -186,19 +181,17 @@ def _stacked_products(X: np.ndarray, table, p: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def monomial_features(
-    X: np.ndarray, p: int, budget: int = DEFAULT_FEATURE_BUDGET
-) -> np.ndarray:
+def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     """Each distinct monomial of orders 1..p of a window once, then a constant 1.
 
     X is one window (m,) or one window per column (m, cols). The C(m+p, p)
     rows equal ``compress(compression_matrix_exact(n, L, p), H0)`` bit for bit,
     H0 the Kronecker features of the same windows. Raises FeatureBudgetError
-    if C(m+p, p) times the number of windows exceeds ``budget``.
+    if C(m+p, p) times the number of windows exceeds ``DEFAULT_FEATURE_BUDGET``.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
-    _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]), budget)
+    _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]))
     return _stacked_products(X, _distinct_monomial_indices, p)
 
 
@@ -265,12 +258,7 @@ def paired_windows(x: TimeSeries, y: TimeSeries, L: int) -> tuple[np.ndarray, np
     return _window_matrix(x.values, L), _window_matrix(y.values, L)
 
 
-def build_data_matrices(
-    x: TimeSeries,
-    y: TimeSeries,
-    cfg: EmbeddingConfig,
-    budget: int = DEFAULT_FEATURE_BUDGET,
-) -> DataMatrices:
+def build_data_matrices(x: TimeSeries, y: TimeSeries, cfg: EmbeddingConfig) -> DataMatrices:
     """Assemble feature/target matrices over every window of a series pair.
 
     H0 column k is the order-p feature vector of x's window ending at time
@@ -279,44 +267,49 @@ def build_data_matrices(
     """
     Xw, H1 = paired_windows(x, y, cfg.L)  # (m, cols) each
     m, cols = Xw.shape
-    _check_budget(feature_dim(m, cfg.p) * cols, budget)
+    _check_budget(feature_dim(m, cfg.p) * cols)
     H0 = _stacked_products(Xw, _sorted_monomial_indices, cfg.p)
-    return DataMatrices(H0=H0, H1=H1, t_range=(cfg.L, x.T))
+    return DataMatrices(H0=H0, H1=H1)
 
 
-def _unit_peak(x: np.ndarray) -> np.ndarray:
-    """x scaled by the power of two of its peak magnitude, as a new array.
+def _lag_correlation(x: np.ndarray) -> Callable[[int], float] | None:
+    """The function k -> sample autocorrelation of channel x at lag k (biased
+    normalization), or None when every sample of x is equal.
 
-    The scaling is exact and commutes with the mean and the subtraction, so
-    a ratio of sums keeps its bits, while the sums of squares stay below
-    overflow.
+    x is first scaled by the power of two of its peak magnitude. The scaling
+    is exact and commutes with the mean and the subtraction, so each ratio
+    keeps its bits, while the sums of squares stay below overflow and the
+    peak-to-peak range stays below 2. A constant channel is told by that
+    range, not by the centred sum of squares: the mean of equal samples can
+    round, leaving a nonzero residue in every centred sample.
     """
-    return np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    x = np.asarray(x, dtype=float).ravel()
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    if np.ptp(x) == 0.0:
+        return None
+    centered = x - x.mean()
+    denom = float(np.dot(centered, centered))
+    return lambda k: float(np.dot(centered[: x.size - k], centered[k:])) / denom
 
 
 def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
     """Sample autocorrelation at lags 0..max_lag (biased normalization).
 
-    Returns NaN at every lag for a zero-variance (constant) channel.
+    Returns NaN at every lag for a constant channel, one whose samples are
+    all equal.
     """
-    x = _unit_peak(np.asarray(x, dtype=float).ravel())
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    out = np.empty(max_lag + 1)
-    if denom <= 0.0:
-        out[:] = np.nan
-        return out
-    for k in range(max_lag + 1):
-        out[k] = float(np.dot(centered[: x.size - k], centered[k:])) / denom
-    return out
+    rho = _lag_correlation(x)
+    if rho is None:
+        return np.full(max_lag + 1, np.nan)
+    return np.array([rho(k) for k in range(max_lag + 1)])
 
 
 def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     """First lag where each channel's autocorrelation drops below 1/e.
 
     A heuristic aid for choosing the window length, not part of the training
-    path. Constant channels report lag 1. Returns (per-channel lags, their
-    maximum).
+    path. Constant channels, whose autocorrelation is NaN, report lag 1; no
+    crossing reports T - 1. Returns (per-channel lags, their maximum).
     """
     if series.T < 3:
         raise ValueError(f"need at least 3 samples, got {series.T}")
@@ -324,14 +317,10 @@ def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
     T = series.T
     lags = []
     for j in range(series.n):
-        # Each lag's value is computed as :func:`autocorrelation` computes it,
-        # up to the first crossing; no crossing reports T - 1.
-        x = _unit_peak(series.values[:, j])
-        c = x - x.mean()
-        denom = float(np.dot(c, c))
+        rho = _lag_correlation(series.values[:, j])
         k = 1
-        if denom > 0.0:  # otherwise every value is NaN: report lag 1
-            while k < T - 1 and not float(np.dot(c[: T - k], c[k:])) / denom < threshold:
+        if rho is not None:
+            while k < T - 1 and not rho(k) < threshold:
                 k += 1
         lags.append(k)
     return lags, max(lags)

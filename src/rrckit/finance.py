@@ -21,6 +21,7 @@ each sample inside the first step that ends at or after it.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass, fields
 from typing import Callable, Sequence
@@ -68,7 +69,12 @@ PERIODIC = FinancialParams(s=0.5, c=0.1, e=0.1, x0=1.0, y0=1.0, z0=1.0)
 
 @dataclass(frozen=True)
 class SimulationGrid:
-    """Output grid and adaptive tolerances; t_end, rtol, atol finite and > 0."""
+    """Output grid and adaptive tolerances; t_end, rtol, atol finite and > 0.
+
+    The grid times k * t_end / (samples - 1) must be strictly increasing, so
+    the spacing t_end / (samples - 1) must be a normal float and
+    t_end * (samples - 1) finite.
+    """
 
     t_end: float
     samples: int
@@ -80,6 +86,17 @@ class SimulationGrid:
             raise ValueError(f"t_end must be finite and > 0, got {self.t_end}")
         if self.samples < 2:
             raise ValueError(f"samples must be >= 2, got {self.samples}")
+        # Each side compares an int with a float, which Python does exactly.
+        intervals = self.samples - 1
+        if not (
+            intervals <= self.t_end / sys.float_info.min
+            and intervals <= sys.float_info.max / self.t_end
+        ):
+            raise ValueError(
+                f"t_end = {self.t_end!r} over {self.samples} samples gives no strictly "
+                f"increasing grid: t_end / (samples - 1) must be at least "
+                f"{sys.float_info.min!r} and t_end * (samples - 1) finite"
+            )
         for name in ("rtol", "atol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rrckit as rk
+from rrckit import embedding
 from rrckit.embedding import autocorrelation
 from rrckit.errors import DimensionMismatchError, FeatureBudgetError, OutOfRangeError
 
@@ -151,15 +152,19 @@ class TestMonomialFeatures:
         for k in range(7):
             np.testing.assert_array_equal(G[:, k], rk.monomial_features(X[:, k], 3))
 
-    def test_budget_applies_to_compressed_size(self):
+    def test_budget_applies_to_compressed_size(self, monkeypatch):
         X = np.ones((6, 50))
         rho = math.comb(6 + 3, 3)
-        assert rk.monomial_features(X, 3, budget=rho * 50).shape == (rho, 50)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho * 50)
+        assert rk.monomial_features(X, 3).shape == (rho, 50)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho * 50 - 1)
         with pytest.raises(FeatureBudgetError):
-            rk.monomial_features(X, 3, budget=rho * 50 - 1)
-        assert rk.monomial_features(X[:, 0], 3, budget=rho).shape == (rho,)
+            rk.monomial_features(X, 3)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho)
+        assert rk.monomial_features(X[:, 0], 3).shape == (rho,)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho - 1)
         with pytest.raises(FeatureBudgetError):
-            rk.monomial_features(X[:, 0], 3, budget=rho - 1)
+            rk.monomial_features(X[:, 0], 3)
 
 
 class TestBuildDataMatrices:
@@ -168,7 +173,6 @@ class TestBuildDataMatrices:
         data = rk.build_data_matrices(x, x, rk.EmbeddingConfig(L=1, p=1))
         np.testing.assert_array_equal(data.H0, [[1, 2, 3], [1, 1, 1]])
         np.testing.assert_array_equal(data.H1, [[1, 2, 3]])
-        assert data.t_range == (1, 3)
 
     def test_lag_two_columns(self):
         x = rk.TimeSeries(np.array([1.0, 2.0, 3.0]))
@@ -205,12 +209,11 @@ class TestBuildDataMatrices:
         with pytest.raises(DimensionMismatchError):
             rk.build_data_matrices(x, y, rk.EmbeddingConfig(L=1, p=1))
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", 1000)
         x = rk.TimeSeries(np.arange(50.0))
         with pytest.raises(FeatureBudgetError):
-            rk.build_data_matrices(
-                x, x, rk.EmbeddingConfig(L=10, p=3), budget=1000
-            )
+            rk.build_data_matrices(x, x, rk.EmbeddingConfig(L=10, p=3))
 
 
 class TestLagSuggestion:
@@ -274,7 +277,12 @@ class TestLagSuggestion:
         orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=40.0, samples=4000))
         rng = np.random.default_rng(41)
         walks = [np.cumsum(rng.standard_normal(T)) for T in (3, 4, 5, 17, 64, 300)]
-        channels = [orbit.values[:, 0], np.full(60, 1.5)] + walks
+        # The means of these constant channels round, which left a residue of
+        # about 1e-15 in each centred sample and a defined autocorrelation.
+        rounding = [np.full(400, 7.77), np.full(12000, 0.1)]
+        for x in rounding:
+            assert np.isnan(autocorrelation(x, 5)).all()
+        channels = [orbit.values[:, 0], np.full(60, 1.5)] + rounding + walks
         for x in channels:
             lags, _ = rk.suggest_lag(rk.TimeSeries(x))
             assert lags == [full_range_lag(x)]

@@ -356,6 +356,32 @@ class TestSuggestLag:
         assert "lag_flat=1" in captured.out
         assert "warning" in captured.err and "flat" in captured.err
 
+    def test_constant_channel_with_rounding_mean_reports_one(self, tmp_path, capsys):
+        # The mean of 400 samples of 7.77 rounds; the channel was warned about
+        # as constant and still reported at lag 253.
+        t = np.arange(400) * 0.1
+        values = np.column_stack([np.full(400, 7.77), np.cos(2 * np.pi * t / 4)])
+        path = tmp_path / "const.csv"
+        write_timeseries_csv(path, rk.TimeSeries(values, dt=0.1, labels=["a", "b"]))
+        assert run_cli("suggest-lag", "--input", str(path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("warning: channel a is constant")
+        assert captured.err.count("\n") == 1
+        assert captured.out.splitlines() == ["lag_a=1", "lag_b=8", "suggested_lag=8"]
+
+    def test_channel_near_float_maximum_warns_nothing(self, tmp_path, capsys):
+        # The constancy test took the channel's unscaled range, which
+        # overflowed; the suite turns that RuntimeWarning into a failure.
+        t = np.arange(400) * 0.1
+        b = np.cos(2 * np.pi * t / 4)
+        path = tmp_path / "huge.csv"
+        write_timeseries_csv(path, rk.TimeSeries(np.column_stack([1.5e308 * b, b]),
+                                                 dt=0.1, labels=["a", "b"]))
+        assert run_cli("suggest-lag", "--input", str(path)) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines() == ["lag_a=8", "lag_b=8", "suggested_lag=8"]
+
     def test_too_short(self, tmp_path):
         path = tmp_path / "tiny.csv"
         write_timeseries_csv(path, rk.TimeSeries(np.array([1.0, 2.0])))
@@ -482,6 +508,10 @@ BOUNDARY_CASES = [
      "guard_factor"),
     ("t-end-inf", ["simulate", "--regime", "chaotic", "--t-end", "inf", "--out", "{out}"],
      "t_end"),
+    ("grid-spacing-underflows", ["simulate", "--regime", "chaotic", "--t-end", "5e-324",
+                                 "--samples", "3", "--out", "{out}"], "t_end"),
+    ("grid-times-overflow", ["simulate", "--regime", "chaotic", "--t-end", "1e308",
+                             "--samples", "4", "--out", "{out}"], "t_end"),
     ("ic-inf", ["simulate", "--params", "3,0.1,1", "--ic", "inf,3,2", "--out", "{out}"],
      "x0 must be finite, got inf"),
     ("ic-nan", ["simulate", "--params", "3,0.1,1", "--ic", "nan,3,2", "--out", "{out}"],
@@ -523,6 +553,23 @@ def test_boundary_input_fails_cleanly(boundary_inputs, tmp_path, capsys, argv, f
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
     assert not list(outputs.iterdir())  # a failing command writes no output file
+
+
+# numpy's MemoryError names the size; Python's own carries no message.
+@pytest.mark.parametrize("message", ["Unable to allocate 745 GiB for an array", ""])
+def test_failed_allocation_is_one_error_line(monkeypatch, tmp_path, capsys, message):
+    """A command whose flags ask for more memory than the host has, such as
+    ``simulate --samples 100000000000``, exits 1 with one line, not a traceback."""
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("rrckit.cli.integrate", allocate)
+    out = tmp_path / "o.csv"
+    assert run_cli("simulate", "--regime", "chaotic", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: " + (message or "allocation failed"))
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 class TestHelp:

@@ -1,4 +1,5 @@
-"""Property tests: the rollout's selector, save/load identity, fuzzed model documents."""
+"""Property tests: the rollout's selector, save/load identity, fuzzed model
+documents, the Kronecker feature map and the compression round trip."""
 
 import json
 import math
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rrckit as rk
 from rrckit.errors import RRCError
@@ -143,3 +145,25 @@ def test_fuzzed_document_loads_or_fails_cleanly(data, documents, workdir):
         rk.forecast(model, np.ones(model.n * model.L), 1)
     except RRCError:
         pass
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compress_inverts_decompress(data):
+    """Broadcasting w over its groups and averaging them again returns w bit for
+    bit, signed zeros and the largest and smallest floats included."""
+    n, L, p = (data.draw(st.integers(1, 3)) for _ in range(3))
+    R = rk.compression_matrix_exact(n, L, p)
+    w = data.draw(hnp.arrays(np.float64, (R.rows,), elements=finite))
+    assert rk.compress(R, rk.decompress(R, w)).tobytes() == w.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 4), elements=st.floats(width=64)),
+       p=st.integers(1, 4))
+def test_eth_map_stacks_the_kronecker_powers(x, p):
+    """eth_map is [kron_power(x, 1); ...; kron_power(x, p); 1] bit for bit,
+    through overflow to inf and NaN products as well."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = np.concatenate([rk.kron_power(x, q) for q in range(1, p + 1)] + [[1.0]])
+        assert rk.eth_map(x, p).tobytes() == stacked.tobytes()
