@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from typing import Callable
 
 import numpy as np
@@ -162,37 +161,59 @@ def eth_map(x: np.ndarray, p: int) -> np.ndarray:
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     _check_budget(feature_dim(x.size, p))
-    return _stacked_products(x, _sorted_monomial_indices, p)
+    return _stacked_products(x, p)
+
+
+def _stacked_products(X: np.ndarray, p: int) -> np.ndarray:
+    """Products of X over each sorted multi-index of orders 1..p, then a constant 1."""
+    parts = [np.prod(X[_sorted_monomial_indices(X.shape[0], q)], axis=1)
+             for q in range(1, p + 1)]
+    parts.append(np.ones((1,) + X.shape[1:]))
+    return np.concatenate(parts)
 
 
 @lru_cache(maxsize=64)
-def _distinct_monomial_indices(m: int, q: int) -> np.ndarray:
-    """Ascending multi-indices in combinations_with_replacement order: the
-    first slot of each group of equal rows of :func:`_sorted_monomial_indices`."""
-    idx = np.array(list(combinations_with_replacement(range(m), q)), dtype=np.intp)
-    idx.setflags(write=False)
-    return idx
+def _prefix_tables(m: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(prefix, last) of the order-q distinct monomials on m entries, q >= 2.
 
-
-def _stacked_products(X: np.ndarray, table, p: int) -> np.ndarray:
-    """Products of X over each multi-index of table(m, q), q = 1..p, then a constant 1."""
-    parts = [np.prod(X[table(X.shape[0], q)], axis=1) for q in range(1, p + 1)]
-    parts.append(np.ones((1,) + X.shape[1:]))
-    return np.concatenate(parts)
+    The monomials are the ascending multi-indices in
+    combinations_with_replacement order. Row k is order q-1's monomial
+    ``prefix[k]`` (its multi-index without the last entry) times window entry
+    ``last[k]``: each order q-1 monomial, in order, is extended by every
+    entry from its own last one to m - 1.
+    """
+    prev_last = np.arange(m) if q == 2 else _prefix_tables(m, q - 1)[1]
+    counts = m - prev_last
+    prefix = np.repeat(np.arange(prev_last.size), counts)
+    starts = np.cumsum(counts) - counts
+    last = np.arange(prefix.size) - np.repeat(starts - prev_last, counts)
+    prefix.setflags(write=False)
+    last.setflags(write=False)
+    return prefix, last
 
 
 def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     """Each distinct monomial of orders 1..p of a window once, then a constant 1.
 
-    X is one window (m,) or one window per column (m, cols). The C(m+p, p)
-    rows equal ``compress(compression_matrix_exact(n, L, p), H0)`` bit for bit,
-    H0 the Kronecker features of the same windows. Raises FeatureBudgetError
-    if C(m+p, p) times the number of windows exceeds ``DEFAULT_FEATURE_BUDGET``.
+    X is one window (m,) or one window per column (m, cols). Order 1 is X;
+    order q is built from order q-1 by one gather and one multiply (see
+    :func:`_prefix_tables`), so each monomial is the left-to-right product of
+    its ascending multi-index. For finite features the C(m+p, p) rows equal
+    ``compress(compression_matrix_exact(n, L, p), H0)`` bit for bit, H0 the
+    Kronecker features of the same windows; a group that overflows is inf
+    here, where ``compress`` may give NaN (inf - inf). Raises
+    FeatureBudgetError if C(m+p, p) times the number of windows exceeds
+    ``DEFAULT_FEATURE_BUDGET``.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]))
-    return _stacked_products(X, _distinct_monomial_indices, p)
+    parts = [X]
+    for q in range(2, p + 1):
+        prefix, last = _prefix_tables(m, q)
+        parts.append(parts[-1][prefix] * X[last])
+    parts.append(np.ones((1,) + X.shape[1:]))
+    return np.concatenate(parts)
 
 
 def check_model_size(m: int, p: int) -> None:
@@ -200,7 +221,7 @@ def check_model_size(m: int, p: int) -> None:
     fits ``DEFAULT_FEATURE_BUDGET``.
 
     The model's coupling matrix is m x C(m+p, p), and evaluating its features
-    builds one index table per order, fewer than p x C(m+p, p) entries in
+    builds two index tables per order, fewer than 2 C(m+p, p) entries in
     all; (m + p) C(m+p, p) bounds both. C(m+p, p) >= m + p, so (m + p)**2 is
     tested first and math.comb only ever sees small arguments.
     """
@@ -268,7 +289,7 @@ def build_data_matrices(x: TimeSeries, y: TimeSeries, cfg: EmbeddingConfig) -> D
     Xw, H1 = paired_windows(x, y, cfg.L)  # (m, cols) each
     m, cols = Xw.shape
     _check_budget(feature_dim(m, cfg.p) * cols)
-    H0 = _stacked_products(Xw, _sorted_monomial_indices, cfg.p)
+    H0 = _stacked_products(Xw, cfg.p)
     return DataMatrices(H0=H0, H1=H1)
 
 

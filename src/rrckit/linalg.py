@@ -114,6 +114,26 @@ def _minimum_norm_lstsq(A: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.linalg.lstsq(A, y, rcond=None)[0]
 
 
+# Row-block height of the tall-skinny QR in _triangular_factor.
+_QR_BLOCK_ROWS = 2048
+
+
+def _triangular_factor(M: np.ndarray) -> np.ndarray:
+    """The triangular factor T of a QR factorization M = Q T.
+
+    M is split into ceil(m / _QR_BLOCK_ROWS) row blocks of near-equal height
+    (``np.array_split``). Each block is factored alone, and the stack of their
+    triangles once more; the blocks' Q factors are orthonormal, so that last
+    factor is one of M. A few short factorizations run faster than one of
+    the whole tall M, whose panel updates are matrix-vector products. With
+    m <= _QR_BLOCK_ROWS this is one QR of M.
+    """
+    blocks = np.array_split(M, max(1, -(-M.shape[0] // _QR_BLOCK_ROWS)))
+    if len(blocks) == 1:
+        return np.linalg.qr(M, mode="r")
+    return np.linalg.qr(np.vstack([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
+
+
 class _Projection(NamedTuple):
     """A system A X = Y projected onto A's top-r left singular subspace."""
 
@@ -127,7 +147,7 @@ class _Projection(NamedTuple):
 def _truncated_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projection:
     """Project A X = Y onto the left singular vectors of A above delta.
 
-    One Householder QR of the augmented [A | Y] gives A = Q R and
+    A QR factorization of the augmented [A | Y] gives A = Q R and
     Q^T Y = [C; R22] with Q's columns orthonormal. The SVD of the small
     R = Ur diag(S) V then holds A's singular values and right vectors, and
     U = Q Ur, so every projection follows from R, C and R22 without Q or U
@@ -135,7 +155,7 @@ def _truncated_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projec
     """
     m, n = A.shape
     k = min(m, n)
-    T = np.linalg.qr(np.hstack([A, Y]), mode="r")
+    T = _triangular_factor(np.hstack([A, Y]))
     R, C, R22 = T[:k, :n], T[:k, n:], T[k:, n:]
     Ur, S, V = np.linalg.svd(R, full_matrices=False)
     r = int(np.sum(S > delta))
@@ -160,7 +180,8 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     ``cfg.epsilon``, at least one, at most r) and re-solving the restricted
     subproblem by minimum-norm least squares. A column stops when its
     max-norm update falls to ``cfg.delta`` or after ``cfg.max_iter`` passes;
-    a support the column has already solved reuses that solution.
+    a support set already solved reuses that solution, whatever the order of
+    its columns.
 
     Every returned column x then has at most r nonzero entries and, on
     well-posed inputs, satisfies
@@ -212,18 +233,18 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         x = x_prev
         k = 0
         error = 1.0 + cfg.delta
-        # A support that cycles comes back in the same order, and its solve
-        # gives the same bits, so each ordered support is solved once.
-        solved: dict[bytes, np.ndarray] = {}
+        # The minimum-norm solution on a column set does not depend on the
+        # order of its columns, so each set is solved once, in the order it
+        # first came in; a set that comes back repeats that iterate exactly.
+        solved: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
         while k < cfg.max_iter and error > cfg.delta:
             support = order[:n0]
-            key = support.tobytes()
-            coeffs = solved.get(key)
-            if coeffs is None:
-                coeffs = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
-                solved[key] = coeffs
+            key = np.sort(support).tobytes()
+            if key not in solved:
+                solved[key] = (support, _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j]))
+            columns, coeffs = solved[key]
             x = np.zeros(n)
-            x[support] = coeffs
+            x[columns] = coeffs
             error = float(np.max(np.abs(x - x_prev))) if n else 0.0
             x_prev = x
             order = np.argsort(-np.abs(x), kind="stable")

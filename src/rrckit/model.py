@@ -152,7 +152,7 @@ def train_rrc(
     """
     check_model_size(x.n * cfg.L, cfg.p)
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
-    G = monomial_features(Xw, cfg.p)      # (rho, cols)
+    G = _finite_features(Xw, x, cfg.p)    # (rho, cols)
     W_hat = np.zeros((H1.shape[0], G.shape[0]))
     return _fit(x.values, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver, seed)
 
@@ -177,12 +177,32 @@ def train_autoregressive(
         )
     check_model_size(x.n * cfg.L, cfg.p)
     windows = _window_matrix(x.values, cfg.L)  # column k + 1 is column k's successor
-    G = monomial_features(windows[:, :-1], cfg.p)
+    G = _finite_features(windows[:, :-1], x, cfg.p)
     H1 = windows[:, 1:]
     # Row i copies slot i + 1: a 1.0 on its linear monomial, G's row i + 1.
     # The newest rows' entries are overwritten by the fit.
     W_hat = np.eye(H1.shape[0], G.shape[0], k=1)
     return _fit(x.values[:-1], G, H1, W_hat, _newest_slots(x.n, cfg.L), cfg, solver, seed)
+
+
+def _finite_features(windows: np.ndarray, x: TimeSeries, p: int) -> np.ndarray:
+    """monomial_features of x's windows, which must all be finite.
+
+    Raises ValueError naming the channel with the largest magnitude in the
+    windows when a feature overflows: a product of q <= p entries that
+    overflows makes that channel's own order-p power overflow too.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf * 0
+        G = monomial_features(windows, p)
+    if not np.all(np.isfinite(G)):
+        peaks = np.abs(windows).max(axis=1).reshape(x.n, -1).max(axis=1)
+        j = int(np.argmax(peaks))
+        name = x.labels[j] if x.labels else str(j)
+        raise ValueError(
+            f"order-{p} features overflow: channel {name} reaches {peaks[j]:.3g}; "
+            "rescale it"
+        )
+    return G
 
 
 def _fit(

@@ -1,6 +1,7 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -219,6 +220,26 @@ class TestTrain:
         assert code == 1
         assert "1e+09" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", [False, True], ids=["autoregressive", "target"])
+    def test_overflowing_features_name_the_channel(self, tmp_path, target):
+        # Degree-2 monomials of a 1e200 channel overflow; the fit used to go
+        # on and fail in the SVD after a raw RuntimeWarning.
+        t = np.arange(60) * 0.1
+        path = tmp_path / "huge.csv"
+        write_timeseries_csv(path, rk.TimeSeries(
+            np.column_stack([1e200 * np.cos(0.3 * t), np.cos(0.3 * t)]),
+            dt=0.1, labels=["a", "b"],
+        ))
+        argv = ["train", "--input", str(path), "--lag", "2", "--order", "2",
+                "--out", str(tmp_path / "m.json")]
+        if target:
+            argv += ["--target", str(path)]
+        proc = run_cli_process(*argv)
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "error: order-2 features overflow: channel a reaches 1e+200; rescale it\n"
+        )
+
     def test_paired_target(self, orbit_csv, tmp_path):
         target = tmp_path / "target.csv"
         data = read_timeseries_csv(orbit_csv)
@@ -407,6 +428,21 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_p2_coupling_independent_of_blas_threads(self, tmp_path):
+        # The README's chaotic L=3, p=2 model: its W_hat is bit-equal at one
+        # and two OpenBLAS threads.
+        orbit = tmp_path / "chaotic.csv"
+        assert run_cli("simulate", "--regime", "chaotic", "--out", str(orbit)) == 0
+        couplings = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"model_{threads}.json"
+            proc = run_cli_process("train", "--input", str(orbit), "--lag", "3",
+                                   "--order", "2", "--train-frac", "0.5",
+                                   "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert proc.returncode == 0, proc.stderr
+            couplings.append(json.loads(out.read_text())["W_hat"])
+        assert couplings[0] == couplings[1]
 
     def test_train_and_forecast_bytes_identical(self, orbit_csv, tmp_path):
         models, forecasts = [], []

@@ -303,6 +303,38 @@ class TestThinQRProjection:
         np.testing.assert_allclose(got.deflated, want.deflated, rtol=1e-8)
 
 
+@pytest.fixture(params=[3, 7])
+def small_qr_blocks(request, monkeypatch):
+    monkeypatch.setattr(linalg, "_QR_BLOCK_ROWS", request.param)
+    return request.param
+
+
+@pytest.mark.usefixtures("small_qr_blocks")
+class TestBlockedQRProjection(TestThinQRProjection):
+    """The same oracle tests with 3- and 7-row QR blocks: uneven splits, and
+    blocks with fewer rows than [A | Y] has columns."""
+
+    def test_blocks_are_factored(self, monkeypatch, small_qr_blocks):
+        shapes = []
+        qr = np.linalg.qr
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", recording)
+        rng = np.random.default_rng(41)
+        linalg._truncated_projection(
+            rng.standard_normal((40, 12)), rng.standard_normal((40, 3)), 1e-3
+        )
+        *blocks, stack = shapes
+        blocks_wanted = -(-40 // small_qr_blocks)
+        assert [rows for rows, _ in blocks] == [
+            len(b) for b in np.array_split(np.arange(40), blocks_wanted)
+        ]
+        assert stack == (sum(min(rows, 15) for rows, _ in blocks), 15)
+
+
 def _solve_counting(monkeypatch, A, Y, cfg):
     """Solve with the package solver; returns (solution, restricted solves made)."""
     calls = []
@@ -335,20 +367,36 @@ def chaotic_orbit():
     return rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=120.0, samples=12000)).values
 
 
+def _chaotic_system(orbit, p):
+    """The paper's system: first 6000 samples, L = 3, delta = epsilon = 1e-8."""
+    x = rk.TimeSeries(orbit[:5999])
+    y = rk.TimeSeries(orbit[1:6000])
+    Xw, H1 = paired_windows(x, y, 3)
+    return monomial_features(Xw, p).T, H1.T, rk.SolverConfig(delta=1e-8, epsilon=1e-8)
+
+
 class TestSolverMemo:
-    """A support a column has solved before is reused, never solved again."""
+    """A support set a column has solved before is reused, never solved again."""
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_chaotic_fit_matches_per_pass_oracle(self, monkeypatch, chaotic_orbit, p):
-        # The paper's system: first 6000 samples, L = 3, delta = epsilon = 1e-8.
-        x = rk.TimeSeries(chaotic_orbit[:5999])
-        y = rk.TimeSeries(chaotic_orbit[1:6000])
-        Xw, H1 = paired_windows(x, y, 3)
-        G = monomial_features(Xw, p)
-        cfg = rk.SolverConfig(delta=1e-8, epsilon=1e-8)
-        solves, passes = _assert_matches_per_pass_oracle(monkeypatch, G.T, H1.T, cfg)
-        if p == 3:  # columns that cycle until the cap
-            assert solves < passes
+        solves, passes = _assert_matches_per_pass_oracle(
+            monkeypatch, *_chaotic_system(chaotic_orbit, p)
+        )
+        assert solves < passes  # columns stop on a set they have solved
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_a_repeated_set_ends_the_column(self, chaotic_orbit, p):
+        # A set that comes back gives the same iterate, so the column stops
+        # there instead of re-solving it in a new order and running on.
+        A, Y, cfg = _chaotic_system(chaotic_orbit, p)
+        sol = rk.sparse_lstsq(A, Y, cfg)
+        oracle = sparse_lstsq_per_pass(A, Y, cfg)
+        assert sol.iterations_per_column == oracle.iterations
+        for passes in oracle.supports:
+            assert not (len(passes) == cfg.max_iter and passes[-1] == passes[-2])
+            repeats = [i for i in range(1, len(passes)) if passes[i] == passes[i - 1]]
+            assert repeats in ([], [len(passes) - 1])
 
     def test_random_systems_match_per_pass_oracle(self, monkeypatch):
         rng = np.random.default_rng(38)

@@ -206,8 +206,12 @@ class TestShiftRows:
         )
         rho = model.W_hat.shape[1]
         assert rho == 220
-        # 5999 - 3 + 1 windows; rho features and the n newest-slot targets.
-        assert calls["qr"] == [(5997, rho + 3)]
+        # 5999 - 3 + 1 = 5997 windows; rho features and the n newest-slot
+        # targets, factored in three row blocks, then the stack of their triangles.
+        *blocks, stack = calls["qr"]
+        assert blocks == [(1999, rho + 3)] * 3
+        assert sum(rows for rows, _ in blocks) == 5997
+        assert stack == (3 * (rho + 3), rho + 3)
         assert calls["svd"] == [(rho, rho)]
 
     def test_only_target_fits_solve_every_row(self, monkeypatch):

@@ -167,3 +167,15 @@ def test_eth_map_stacks_the_kronecker_powers(x, p):
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = np.concatenate([rk.kron_power(x, q) for q in range(1, p + 1)] + [[1.0]])
         assert rk.eth_map(x, p).tobytes() == stacked.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 5), elements=st.floats(width=64)),
+       p=st.integers(1, 4))
+def test_monomial_features_are_the_distinct_kronecker_entries(x, p):
+    """The prefix-product recurrence gives each group's Kronecker entry bit for
+    bit, through overflow to inf and NaN products as well."""
+    groups = rk.compression_matrix_exact(1, x.size, p).groups
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = rk.eth_map(x, p)[[g[0] for g in groups]]
+        assert rk.monomial_features(x, p).tobytes() == first.tobytes()

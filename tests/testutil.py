@@ -242,15 +242,17 @@ class PerPassSolution(NamedTuple):
     X: np.ndarray
     iterations: list[int]
     residuals: list[float]
-    supports: list[list[bytes]]  # per column, the ordered support of every pass
+    supports: list[list[bytes]]  # per column, the support set of every pass (sorted)
 
 
 def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> PerPassSolution:
     """Oracle for ``sparse_lstsq``: every refinement pass solves its support afresh.
 
-    Uses the package's projection, so only the reuse of solved supports
-    differs. Records the ordered support of each pass, so a test can count
-    the distinct restricted subproblems of each column.
+    Each pass solves its support set in the column order in which that set
+    first came up in the column, so only the reuse of solved sets differs
+    from the package. Uses the package's projection. Records the sorted
+    support set of each pass, so a test can count the distinct restricted
+    subproblems of each column.
     """
     A = np.asarray(A, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -273,10 +275,12 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
         x = x_prev
         k = 0
         error = 1.0 + cfg.delta
+        first_order: dict[bytes, np.ndarray] = {}
         passes = []
         while k < cfg.max_iter and error > cfg.delta:
-            support = order[:n0]
-            passes.append(support.tobytes())
+            key = np.sort(order[:n0]).tobytes()
+            support = first_order.setdefault(key, order[:n0])
+            passes.append(key)
             coeffs = np.linalg.lstsq(A_hat[:, support], Y_hat[:, j], rcond=None)[0]
             x = np.zeros(n)
             x[support] = coeffs
