@@ -21,7 +21,6 @@ from .embedding import (
     delay_embed,
     eth_map,
     feature_dim,
-    kron_power,
     monomial_features,
     suggest_lag,
 )
@@ -49,7 +48,6 @@ from .finance import (
 from .linalg import (
     SolverConfig,
     SparseSolution,
-    heaviside_delta,
     rank_delta,
     sparse_lstsq,
 )
@@ -59,7 +57,6 @@ from .model import (
     forecast,
     load_model,
     save_model,
-    selector_matrix,
     train_autoregressive,
     train_rrc,
     transform,

@@ -25,7 +25,6 @@ __all__ = [
     "DataMatrices",
     "feature_dim",
     "delay_embed",
-    "kron_power",
     "eth_map",
     "monomial_features",
     "check_model_size",
@@ -136,19 +135,6 @@ def _sorted_monomial_indices(m: int, q: int) -> np.ndarray:
     idx.sort(axis=1)
     idx.setflags(write=False)
     return idx
-
-
-def kron_power(x: np.ndarray, p: int) -> np.ndarray:
-    """p-fold Kronecker power of a vector, length len(x)**p.
-
-    Entry ordering follows the recursive definition x (x) x^{(x)(p-1)};
-    each entry equals the product of x over its multi-index.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    _check_budget(x.size**p)
-    return np.prod(x[_sorted_monomial_indices(x.size, p)], axis=1)
 
 
 def eth_map(x: np.ndarray, p: int) -> np.ndarray:

@@ -17,15 +17,10 @@ import numpy as np
 from .embedding import TimeSeries
 
 __all__ = [
-    "format_float",
     "write_timeseries_csv",
     "read_timeseries_csv",
     "write_table_csv",
 ]
-
-
-def format_float(value: float) -> str:
-    return f"{float(value):.17g}"
 
 
 def _default_times(ts: TimeSeries) -> np.ndarray:
@@ -165,6 +160,4 @@ def write_table_csv(path: str | Path, header: list[str], rows: list[list]) -> No
         writer = csv.writer(handle)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [format_float(v) if isinstance(v, float) else v for v in row]
-            )
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])

@@ -19,7 +19,6 @@ from .errors import DimensionMismatchError, RankZeroError
 __all__ = [
     "SolverConfig",
     "SparseSolution",
-    "heaviside_delta",
     "rank_delta",
     "sparse_lstsq",
 ]
@@ -76,8 +75,8 @@ class SparseSolution:
         The residual certificate of each column (see :func:`sparse_lstsq`).
     slack : float
         The certificate's slack per unit coefficient norm,
-        ``sqrt(r*(min(m,n)-r)) * delta``: column j's bound is
-        ``||x_j|| * slack + ||(I - Q) y_j||``.
+        ``sqrt(r*(min(m,n)-r)) * delta``; column j's bound is
+        ``||x_j|| * slack + ||(I - Q) y_j||`` plus its rounding term.
     """
 
     X: np.ndarray
@@ -87,13 +86,6 @@ class SparseSolution:
     rank: int = 0
     column_bounds: list[float] = field(default_factory=list)
     slack: float = 0.0
-
-
-def heaviside_delta(x: float, delta: float) -> int:
-    """Thresholded step function: 1 if x > delta, else 0. Requires delta > 0."""
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
-    return 1 if x > delta else 0
 
 
 def rank_delta(A: np.ndarray, delta: float) -> int:
@@ -132,6 +124,14 @@ def _triangular_factor(M: np.ndarray) -> np.ndarray:
     if len(blocks) == 1:
         return np.linalg.qr(M, mode="r")
     return np.linalg.qr(np.vstack([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
+
+
+def _column_norms(M: np.ndarray) -> np.ndarray:
+    """Euclidean norms of M's columns (of a vector, its norm), each column
+    first scaled by the power of two of its peak: exact, and its squares stay
+    finite near the float maximum."""
+    e = np.frexp(np.max(np.abs(M), axis=0, initial=0.0))[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(M, -e), axis=0), e)
 
 
 class _Projection(NamedTuple):
@@ -184,10 +184,14 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     its columns.
 
     Every returned column x then has at most r nonzero entries and, on
-    well-posed inputs, satisfies
-    ``||A x - y|| <= ||x|| * sqrt(r*(min(m,n)-r)) * delta + ||(I - Q) y||``
+    well-posed inputs, its computed residual satisfies
+    ``||A x - y|| <= ||x|| * sqrt(r*(min(m,n)-r)) * delta + ||(I - Q) y||
+    + gamma * u * (||A||_F * ||x|| + ||y||)``
     with Q = U_r U_r^T the projector onto the top-r left singular subspace of
-    A; that bound is returned per column, and its slack term
+    A, u the unit roundoff and gamma = n + 1. The last term covers the
+    rounding of ``A x - y`` itself, which at full rank (r = min(m, n), no
+    slack) could otherwise lift the computed residual above the bound. That
+    bound is returned per column, and its slack term
     ``sqrt(r*(min(m,n)-r)) * delta`` as ``slack``.
 
     Parameters
@@ -256,13 +260,19 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
 
     slack = float(np.sqrt(r * (min(m, n) - r))) * cfg.delta
-    bounds = [float(np.linalg.norm(X[:, j]) * slack + deflated[j]) for j in range(p)]
+    # Each entry of a computed A x - y is a dot product of n terms and one
+    # subtraction, so it errs by at most gamma = n + 1 unit roundoffs per term.
+    gamma = n + 1
+    rounding = gamma * np.finfo(float).eps / 2
+    a_fro = _column_norms(S)  # ||A||_F, from its singular values
+    bounds = (np.linalg.norm(X, axis=0) * (slack + rounding * a_fro)
+              + deflated + rounding * _column_norms(Y))
     return SparseSolution(
         X=X,
         nnz_per_column=nnz,
         iterations_per_column=iters,
         residual_norms=residuals,
         rank=r,
-        column_bounds=bounds,
+        column_bounds=bounds.tolist(),
         slack=slack,
     )

@@ -32,7 +32,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "TrainingDiagnostics",
     "RRCModel",
-    "selector_matrix",
     "train_rrc",
     "train_autoregressive",
     "transform",
@@ -112,16 +111,6 @@ class RRCModel:
     def selector_indices(self) -> np.ndarray:
         """0-based window-slot index selected for each channel: its newest."""
         return _newest_slots(self.n, self.L)
-
-
-def selector_matrix(n: int, L: int, offset: int) -> np.ndarray:
-    """0/1 matrix (n x nL) whose row j selects window slot (j-1)*L + offset."""
-    if not 1 <= offset <= L:
-        raise ValueError(f"offset must lie in [1, {L}], got {offset}")
-    K = np.zeros((n, n * L))
-    for j in range(n):
-        K[j, j * L + offset - 1] = 1.0
-    return K
 
 
 def train_rrc(
@@ -223,7 +212,8 @@ def _fit(
     feature row G[j], so its residual is 0. Its certificate in
     :func:`sparse_lstsq`'s terms, ||x|| * slack + ||(I - Q) G[j]|| with
     ||x|| = 1, is recorded as slack + delta: the rank rule leaves
-    ||(I - Q) G[j]|| <= delta.
+    ||(I - Q) G[j]|| <= delta. That residual is exactly 0, so it needs no
+    rounding term.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -318,8 +308,10 @@ def forecast(
     guard = _rollout_guard(model, guard_factor)
     blocks = window.reshape(model.n, model.L)  # view: one row per channel block
     out = np.empty((horizon, model.n))
+    # transform's product, without its per-step checks and selector rebuild.
+    W_hat, p, selected = model.W_hat, model.p, model.selector_indices
     for step in range(1, horizon + 1):
-        _, y_sel = transform(model, window)
+        y_sel = (W_hat @ monomial_features(window, p))[selected]
         worst = float(np.max(np.abs(y_sel)))
         if not np.isfinite(worst) or worst > guard:
             raise NumericBlowupError(step=step, value=worst, guard=guard)

@@ -28,7 +28,6 @@ __all__ = [
     "ExposureReport",
     "fit_nonlagged",
     "fit_lagged",
-    "predict",
     "exposure",
     "rank_exposures",
     "synth_panel",
@@ -194,15 +193,6 @@ def fit_lagged(
     return _fit(panel, solver, "lagged", train_fraction, eval_range)
 
 
-def predict(model: RemittanceModel, panel: RemittancePanel) -> np.ndarray:
-    """Fitted deposits for every evaluable quarter of a panel."""
-    if panel.regions != model.regions:
-        raise DimensionMismatchError(
-            f"panel has {panel.regions} regions, model expects {model.regions}"
-        )
-    return _features(panel, model.kind) @ model.M.T
-
-
 def exposure(observed: np.ndarray, fitted: np.ndarray) -> np.ndarray:
     """Normalized RMS deviation per institution.
 
@@ -245,6 +235,10 @@ def rank_exposures(report: ExposureReport, k: int) -> list[tuple[int, float]]:
     return [(j + 1, float(report.exposures[j])) for j in order[:k]]
 
 
+# Share of (institution, region) pairs a planted coupling matrix links.
+_PLANTED_DENSITY = 0.25
+
+
 def synth_panel(
     regions: int = 18,
     institutions: int = 15,
@@ -252,7 +246,6 @@ def synth_panel(
     seed: int = 0,
     noise_level: float = 0.0,
     include_lag: bool = True,
-    density: float = 0.25,
 ) -> tuple[RemittancePanel, dict[str, np.ndarray]]:
     """Synthetic panel with a planted sparse (optionally lagged) coupling.
 
@@ -291,7 +284,7 @@ def synth_panel(
         r_full += noise_level * base[None, :] * rng.standard_normal(r_full.shape)
 
     def planted(scale: float) -> np.ndarray:
-        mask = rng.random((institutions, regions)) < density
+        mask = rng.random((institutions, regions)) < _PLANTED_DENSITY
         for row in mask:                    # every institution couples somewhere
             if not row.any():
                 row[rng.integers(regions)] = True

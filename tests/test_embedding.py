@@ -67,31 +67,41 @@ class TestDelayEmbed:
                 assert cur[(j + 1) * L - 1] == ts.values[t, j]
 
 
+def kron_block(x, p: int, q: int) -> np.ndarray:
+    """The order-q Kronecker power inside eth_map(x, p), 1 <= q <= p."""
+    m = len(x)
+    start = sum(m**k for k in range(1, q))
+    return rk.eth_map(x, p)[start : start + m**q]
+
+
 class TestKronPower:
+    """The Kronecker powers, read off as eth_map's order-q blocks."""
+
     def test_order_two(self):
-        np.testing.assert_array_equal(rk.kron_power([1.0, 2.0], 2), [1, 2, 2, 4])
+        np.testing.assert_array_equal(kron_block([1.0, 2.0], 2, 2), [1, 2, 2, 4])
 
     def test_order_three(self):
         np.testing.assert_array_equal(
-            rk.kron_power([1.0, 2.0], 3), [1, 2, 2, 4, 2, 4, 4, 8]
+            kron_block([1.0, 2.0], 3, 3), [1, 2, 2, 4, 2, 4, 4, 8]
         )
 
     def test_order_one_is_identity(self):
         x = np.array([3.0, -1.0, 0.5])
-        np.testing.assert_array_equal(rk.kron_power(x, 1), x)
+        for p in (1, 2, 3):
+            np.testing.assert_array_equal(kron_block(x, p, 1), x)
 
     def test_matches_recursive_kron(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal(3)
         expected = x.copy()
-        for _ in range(2):
+        for q in range(2, 4):
             expected = np.kron(x, expected)
-        np.testing.assert_allclose(rk.kron_power(x, 3), expected, rtol=1e-15)
+            np.testing.assert_allclose(kron_block(x, 3, q), expected, rtol=1e-15)
 
     def test_permutation_symmetry_bit_exact(self):
         rng = np.random.default_rng(7)
         x = rng.standard_normal(4)
-        z = rk.kron_power(x, 3)
+        z = kron_block(x, 3, 3)
         m = 4
         for idx in itertools.product(range(m), repeat=3):
             flat = idx[0] * m * m + idx[1] * m + idx[2]
@@ -100,8 +110,9 @@ class TestKronPower:
                 assert z[flat] == z[other]  # exact equality, not approx
 
     def test_budget_guard(self):
+        # The order-9 block alone holds 10**9 entries.
         with pytest.raises(FeatureBudgetError):
-            rk.kron_power(np.ones(10), 9)
+            rk.eth_map(np.ones(10), 9)
 
 
 class TestEthMap:

@@ -19,21 +19,6 @@ from testutil import (
 )
 
 
-class TestHeaviside:
-    def test_above_threshold(self):
-        assert rk.heaviside_delta(0.6, 0.5) == 1
-
-    def test_boundary_is_zero(self):
-        assert rk.heaviside_delta(0.5, 0.5) == 0
-
-    def test_negative_input(self):
-        assert rk.heaviside_delta(-1.0, 0.5) == 0
-
-    def test_requires_positive_delta(self):
-        with pytest.raises(ValueError):
-            rk.heaviside_delta(1.0, 0.0)
-
-
 class TestRankDelta:
     def test_identity(self):
         assert rk.rank_delta(np.eye(3), 0.5) == 3

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 import rrckit as rk
 from rrckit.errors import RRCError
 from rrckit.model import TrainingDiagnostics
+from testutil import kron_power
 
 V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
 
@@ -165,7 +166,7 @@ def test_eth_map_stacks_the_kronecker_powers(x, p):
     """eth_map is [kron_power(x, 1); ...; kron_power(x, p); 1] bit for bit,
     through overflow to inf and NaN products as well."""
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = np.concatenate([rk.kron_power(x, q) for q in range(1, p + 1)] + [[1.0]])
+        stacked = np.concatenate([kron_power(x, q) for q in range(1, p + 1)] + [[1.0]])
         assert rk.eth_map(x, p).tobytes() == stacked.tobytes()
 
 

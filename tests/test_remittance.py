@@ -5,7 +5,6 @@ import pytest
 
 import rrckit as rk
 from rrckit.errors import DegenerateChannelError, DimensionMismatchError
-from rrckit.remittance import predict
 
 SOLVER = rk.SolverConfig(delta=1e-6, epsilon=1e-4, max_iter=100)
 
@@ -98,9 +97,8 @@ class TestNonlaggedFit:
         if np.any(np.max(np.abs(D), axis=0) == 0.0):
             D[:, np.max(np.abs(D), axis=0) == 0.0] += 1.0
         planted = rk.RemittancePanel(R=panel.R, D=D)
-        model, report = rk.fit_nonlagged(planted, SOLVER)
-        fitted = predict(model, planted)
-        assert np.max(np.abs(fitted - D)) <= 1e-8
+        _, report = rk.fit_nonlagged(planted, SOLVER)
+        assert np.max(np.abs(report.fitted - D)) <= 1e-8
         assert np.max(report.exposures) <= 1e-8
 
     def test_constant_deposits_absorbed_by_bias(self):
@@ -130,10 +128,9 @@ class TestNonlaggedFit:
 class TestLaggedFit:
     def test_planted_lagged_map(self):
         panel, _ = rk.synth_panel(18, 15, 24, seed=66, noise_level=0.0)
-        model, report = rk.fit_lagged(panel, SOLVER)
+        _, report = rk.fit_lagged(panel, SOLVER)
         assert np.max(report.exposures) <= 1e-8
-        fitted = predict(model, panel)
-        assert np.max(np.abs(fitted - panel.D[1:])) <= 1e-6
+        assert np.max(np.abs(report.fitted - panel.D[1:])) <= 1e-6
 
     def test_panel_near_1e155_reports_finite_exposures(self):
         # Its squared deviations overflowed: every exposure read inf.

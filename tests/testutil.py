@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -68,6 +71,21 @@ def bounded_orbit(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
     return np.array(out)
 
 
+def kron_power(x: np.ndarray, p: int) -> np.ndarray:
+    """Oracle: the p-fold Kronecker power of a vector, length len(x)**p.
+
+    Entries follow the recursive definition x (x) x^{(x)(p-1)}, i.e. the
+    row-major multi-indices of ``itertools.product``. Each entry is the
+    left-to-right product of x over its multi-index sorted ascending, so
+    permuted multi-indices give the same bits.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    return np.array([
+        functools.reduce(operator.mul, x[sorted(idx)])
+        for idx in itertools.product(range(x.size), repeat=p)
+    ])
+
+
 class SVDFactors(NamedTuple):
     """Economy-sized SVD, U @ diag(S) @ V = A."""
 
@@ -113,13 +131,16 @@ def as_dense_model(model: RRCModel, W_bar: np.ndarray) -> RRCModel:
 
 
 def residual_certificate(A: np.ndarray, y: np.ndarray, x: np.ndarray, delta: float) -> float:
-    """Right-hand side of the sparse-solution residual certificate."""
+    """Right-hand side of the sparse-solution residual certificate, with the
+    rounding term (n + 1) * u * (||A||_F ||x|| + ||y||) of a computed A x - y."""
     U, S, _ = np.linalg.svd(A, full_matrices=False)
     r = int(np.sum(S > delta))
     s_nm = np.sqrt(r * (min(A.shape) - r))
     Ur = U[:, :r]
+    rounding = (A.shape[1] + 1) * np.finfo(float).eps / 2
     return float(
         np.linalg.norm(x) * s_nm * delta + np.linalg.norm(y - Ur @ (Ur.T @ y))
+        + rounding * (np.linalg.norm(A) * np.linalg.norm(x) + np.linalg.norm(y))
     )
 
 
