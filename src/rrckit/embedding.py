@@ -68,10 +68,14 @@ class TimeSeries:
             raise ValueError(
                 f"{len(self.labels)} labels for {values.shape[1]} channels"
             )
+        if self.dt is not None and not math.isfinite(self.dt):
+            raise ValueError(f"dt must be finite, got {self.dt}")
         if self.times is not None:
             times = np.asarray(self.times, dtype=float)
             if times.shape != (values.shape[0],):
                 raise ValueError("times must have one entry per sample")
+            if not np.all(np.isfinite(times)):
+                raise ValueError("times must be finite")
             self.times = times
 
     @property

@@ -127,9 +127,9 @@ def _triangular_factor(M: np.ndarray) -> np.ndarray:
 
 
 def _column_norms(M: np.ndarray) -> np.ndarray:
-    """Euclidean norms of M's columns (of a vector, its norm), each column
-    first scaled by the power of two of its peak: exact, and its squares stay
-    finite near the float maximum."""
+    """Euclidean norms of M's columns (of a vector, its norm), each scaled by
+    the power of two of its peak, so its squares stay finite near the float
+    maximum; a pairwise sum without BLAS, so no thread count moves the bits."""
     e = np.frexp(np.max(np.abs(M), axis=0, initial=0.0))[1]
     return np.ldexp(np.linalg.norm(np.ldexp(M, -e), axis=0), e)
 
@@ -166,7 +166,7 @@ def _truncated_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projec
     Ur = Ur[:, :r]
     Y_hat = Ur.T @ C
     # (I - U_r U_r^T) Y = Q [C - Ur Y_hat; R22], and Q keeps norms.
-    deflated = np.linalg.norm(np.vstack([C - Ur @ Y_hat, R22]), axis=0)
+    deflated = _column_norms(np.vstack([C - Ur @ Y_hat, R22]))
     return _Projection(S=S, V=V, A_hat=Ur.T @ R, Y_hat=Y_hat, deflated=deflated)
 
 
@@ -257,7 +257,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         X[:, j] = x
         nnz.append(int(np.count_nonzero(x)))
         iters.append(k)
-        residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
+        residuals.append(float(_column_norms(A @ x - Y[:, j])))
 
     slack = float(np.sqrt(r * (min(m, n) - r))) * cfg.delta
     # Each entry of a computed A x - y is a dot product of n terms and one
@@ -265,7 +265,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     gamma = n + 1
     rounding = gamma * np.finfo(float).eps / 2
     a_fro = _column_norms(S)  # ||A||_F, from its singular values
-    bounds = (np.linalg.norm(X, axis=0) * (slack + rounding * a_fro)
+    bounds = (_column_norms(X) * (slack + rounding * a_fro)
               + deflated + rounding * _column_norms(Y))
     return SparseSolution(
         X=X,

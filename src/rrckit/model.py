@@ -26,7 +26,7 @@ from .errors import (
     ModelVersionError,
     NumericBlowupError,
 )
-from .linalg import SolverConfig, sparse_lstsq
+from .linalg import SolverConfig, _column_norms, sparse_lstsq
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -225,12 +225,12 @@ def _fit(
     exact[rows] = False
     column_residuals = np.empty(len(H1))
     column_residuals[rows] = solution.residual_norms
-    column_residuals[exact] = np.linalg.norm(residual[exact], axis=1)
+    column_residuals[exact] = _column_norms(residual[exact].T)
     column_bounds = np.empty(len(H1))
     column_bounds[rows] = solution.column_bounds
     column_bounds[exact] = solution.slack + solver.delta
-    residual_fro = float(np.linalg.norm(residual))
-    h1_norm = float(np.linalg.norm(H1))
+    residual_fro = float(_column_norms(residual.ravel()))
+    h1_norm = float(_column_norms(H1.ravel()))
     diagnostics = TrainingDiagnostics(
         rank=solution.rank,
         nnz=int(np.count_nonzero(W_hat)),

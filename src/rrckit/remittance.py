@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChannelError, DimensionMismatchError
-from .linalg import SolverConfig, sparse_lstsq
+from .linalg import SolverConfig, _column_norms, sparse_lstsq
 
 __all__ = [
     "RemittancePanel",
@@ -79,7 +79,6 @@ class RemittanceModel:
 
     kind: str                      # "nonlagged" | "lagged"
     M: np.ndarray                  # (institutions, features)
-    regions: int
     rank: int
     nnz: int
     residual_fro: float
@@ -129,13 +128,10 @@ def _fit(
 
     solution = sparse_lstsq(features[train], targets[train], solver)
     M = solution.X.T
-    residual = float(
-        np.linalg.norm(features[train] @ solution.X - targets[train])
-    )
+    residual = float(_column_norms((features[train] @ solution.X - targets[train]).ravel()))
     model = RemittanceModel(
         kind=kind,
         M=M,
-        regions=panel.regions,
         rank=solution.rank,
         nnz=int(np.count_nonzero(M)),
         residual_fro=residual,

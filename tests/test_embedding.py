@@ -22,6 +22,16 @@ class TestTimeSeries:
         with pytest.raises(ValueError):
             rk.TimeSeries(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("field, kwargs", [
+        ("times", {"times": [0.0, math.nan, 2.0]}),
+        ("dt", {"dt": math.nan}),
+        ("dt", {"dt": math.inf}),
+    ])
+    def test_rejects_nonfinite_times_and_dt(self, field, kwargs):
+        # They were accepted, and the CSV written from them failed to read.
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            rk.TimeSeries(np.ones(3), **kwargs)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             rk.TimeSeries(np.empty((0, 2)))

@@ -1,7 +1,6 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
 import csv
-import json
 import os
 import subprocess
 import sys
@@ -122,6 +121,11 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=rf"sep\.csv:3: could not convert string to float: '{cell}'"):
             read_timeseries_csv(path)
 
+    def test_falling_times_read_back_with_negative_dt(self, tmp_path):
+        path = tmp_path / "falling.csv"
+        write_timeseries_csv(path, rk.TimeSeries(np.ones(3), times=[2.0, 1.0, 0.0]))
+        assert read_timeseries_csv(path).dt == -1.0
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")
@@ -240,6 +244,28 @@ class TestTrain:
             "error: order-2 features overflow: channel a reaches 1e+200; rescale it\n"
         )
 
+    def test_series_near_float_maximum_trains(self, tmp_path):
+        # The residual norms of a 1e160 series overflowed: two raw
+        # RuntimeWarnings, then exit 2 on an inf the model file cannot hold.
+        orbit = tmp_path / "chaotic.csv"
+        assert run_cli("simulate", "--regime", "chaotic", "--out", str(orbit)) == 0
+        series = read_timeseries_csv(orbit)
+        scaled = tmp_path / "scaled.csv"
+        write_timeseries_csv(scaled, rk.TimeSeries(series.values[:3000] * 1e160,
+                                                   dt=series.dt, labels=series.labels))
+        model_path = tmp_path / "m.json"
+        proc = run_cli_process("train", "--input", str(scaled), "--lag", "2",
+                               "--order", "1", "--out", str(model_path))
+        assert (proc.returncode, proc.stderr) == (0, "")
+        # The constant feature does not scale with the series, so the reference
+        # is the same fit at 1e150, whose norms never overflowed.
+        base = rk.train_autoregressive(rk.TimeSeries(series.values[:3000] * 1e150),
+                                       rk.EmbeddingConfig(L=2, p=1),
+                                       rk.SolverConfig(delta=1e-8))
+        diagnostics = rk.load_model(model_path).diagnostics
+        np.testing.assert_allclose(diagnostics.relative_residual,
+                                   base.diagnostics.relative_residual, rtol=1e-9)
+
     def test_paired_target(self, orbit_csv, tmp_path):
         target = tmp_path / "target.csv"
         data = read_timeseries_csv(orbit_csv)
@@ -321,6 +347,25 @@ class TestExposure:
         assert max(values) <= 1e-8
         assert (tmp_path / "report_adjacency.csv").exists()
         assert (tmp_path / "report_fitted.csv").exists()
+
+    def test_panel_near_float_maximum_reports_finite_residual(self, tmp_path):
+        # Its residual norm overflowed: two raw RuntimeWarnings and
+        # residual_fro=inf.
+        panel, _ = rk.synth_panel(18, 15, 24, seed=5, noise_level=0.05)
+        exposures = []
+        for scale in (1.0, 1e200):
+            remit, deposits = tmp_path / "remit.csv", tmp_path / "deposits.csv"
+            write_timeseries_csv(remit, rk.TimeSeries(panel.R * scale))
+            write_timeseries_csv(deposits, rk.TimeSeries(panel.D * scale))
+            out = tmp_path / "report.csv"
+            proc = run_cli_process("exposure", "--remittances", str(remit), "--deposits",
+                                   str(deposits), "--lagged", "--out", str(out))
+            assert (proc.returncode, proc.stderr) == (0, "")
+            report = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+            assert np.isfinite(float(report["residual_fro"]))
+            with out.open(newline="") as handle:
+                exposures.append([float(row["exposure"]) for row in csv.DictReader(handle)])
+        np.testing.assert_allclose(exposures[1], exposures[0], rtol=1e-9)
 
     def test_two_quarter_lagged_panel_rejected(self, tmp_path):
         remit = tmp_path / "r.csv"
@@ -430,19 +475,20 @@ class TestDeterminism:
         assert outputs[0] == outputs[1]
 
     def test_p2_coupling_independent_of_blas_threads(self, tmp_path):
-        # The README's chaotic L=3, p=2 model: its W_hat is bit-equal at one
-        # and two OpenBLAS threads.
+        # The README's chaotic L=3, p=2 model: its file and train's report are
+        # byte-identical at one and two OpenBLAS threads. Its residual norms
+        # used to take a BLAS dot product, whose last digits moved.
         orbit = tmp_path / "chaotic.csv"
         assert run_cli("simulate", "--regime", "chaotic", "--out", str(orbit)) == 0
-        couplings = []
+        out = tmp_path / "model.json"
+        runs = []
         for threads in ("1", "2"):
-            out = tmp_path / f"model_{threads}.json"
             proc = run_cli_process("train", "--input", str(orbit), "--lag", "3",
                                    "--order", "2", "--train-frac", "0.5",
                                    "--out", str(out), OPENBLAS_NUM_THREADS=threads)
             assert proc.returncode == 0, proc.stderr
-            couplings.append(json.loads(out.read_text())["W_hat"])
-        assert couplings[0] == couplings[1]
+            runs.append((out.read_bytes(), proc.stdout))
+        assert runs[0] == runs[1]
 
     def test_train_and_forecast_bytes_identical(self, orbit_csv, tmp_path):
         models, forecasts = [], []

@@ -1,5 +1,6 @@
 """Property tests: the rollout's selector, save/load identity, fuzzed model
-documents, the Kronecker feature map and the compression round trip."""
+documents, the Kronecker feature map, the compression round trip and the
+solver's residual certificate."""
 
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 import rrckit as rk
 from rrckit.errors import RRCError
 from rrckit.model import TrainingDiagnostics
-from testutil import kron_power
+from testutil import kron_power, matrix_with_spectrum, straddling_spectrum
 
 V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
 
@@ -180,3 +181,23 @@ def test_monomial_features_are_the_distinct_kronecker_entries(x, p):
     with np.errstate(over="ignore", invalid="ignore"):
         first = rk.eth_map(x, p)[[g[0] for g in groups]]
         assert rk.monomial_features(x, p).tobytes() == first.tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_residual_certificate_on_random_spectra(data):
+    """Criterion 1's family: a spectrum with r values above 2 * delta and the
+    rest below delta / 2. The solver finds rank r, keeps at most r nonzeros
+    per column, and each residual stays within its column's bound."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    m, n = data.draw(st.integers(5, 50)), data.draw(st.integers(5, 50))
+    k = min(m, n)
+    r = data.draw(st.integers(1, k - 1))
+    delta = data.draw(st.sampled_from([1e-6, 1e-2, 0.5]))
+    epsilon = data.draw(st.sampled_from([1e-12, 1e-6]))
+    A = matrix_with_spectrum(rng, m, n, straddling_spectrum(rng, k, delta, r))
+    Y = rng.standard_normal((m, data.draw(st.integers(1, 5))))
+    sol = rk.sparse_lstsq(A, Y, rk.SolverConfig(delta=delta, epsilon=epsilon))
+    assert sol.rank == r
+    assert max(sol.nnz_per_column) <= r
+    assert all(res <= bound for res, bound in zip(sol.residual_norms, sol.column_bounds))

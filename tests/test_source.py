@@ -1,0 +1,33 @@
+"""The package's source against pyproject.toml: requires-python >= 3.10 and
+numpy as the one runtime dependency."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "rrckit").glob("*.py"))
+by_name = pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+
+
+def parse(path: Path) -> ast.Module:
+    # feature_version rejects grammar newer than Python 3.10.
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                     feature_version=(3, 10))
+
+
+@by_name
+def test_parses_as_python_3_10(path):
+    parse(path)
+
+
+@by_name
+def test_imports_only_numpy_and_the_stdlib(path):
+    tree = parse(path)
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    outside = {name.split(".")[0] for name in imported} - set(sys.stdlib_module_names)
+    assert outside <= {"numpy"}

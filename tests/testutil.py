@@ -14,7 +14,7 @@ from rrckit.compression import compress
 from rrckit.embedding import build_data_matrices
 from rrckit import finance
 from rrckit.errors import RankZeroError, StepUnderflowError
-from rrckit.linalg import SolverConfig, _Projection, _truncated_projection
+from rrckit.linalg import SolverConfig, _column_norms, _Projection, _truncated_projection
 from rrckit.model import RRCModel
 
 
@@ -312,7 +312,7 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
             k += 1
         X[:, j] = x
         iterations.append(k)
-        residuals.append(float(np.linalg.norm(A @ x - Y[:, j])))
+        residuals.append(float(_column_norms(A @ x - Y[:, j])))
         supports.append(passes)
     return PerPassSolution(X, iterations, residuals, supports)
 
