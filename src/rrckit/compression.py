@@ -7,9 +7,9 @@ distinct monomials, and the pseudoinverse (broadcast each group mean back to
 its slots) reconstructs the original features exactly on permutation-
 symmetric inputs.
 
-Two constructions are provided: the randomized one groups the feature
-expansion of a generic Gaussian sample by value proximity; the exact one
-enumerates index multisets directly and serves as its deterministic oracle.
+Both constructions return the partition that enumerating index multisets
+gives; the randomized one also checks that a generic Gaussian sample's
+feature expansion separates its classes by more than a tolerance.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ class CompressionMatrix:
         Provenance parameters; the underlying feature space is the order-p
         expansion of R^(nL).
     group_spread : float
-        Largest within-group value spread of the generating sample (0.0 for
-        the exact construction and for bit-equal duplicate slots).
+        Largest within-group value spread of the probe: 0.0, since the
+        members of a group are bit-equal products.
     """
 
     groups: tuple[tuple[int, ...], ...]
@@ -125,18 +125,19 @@ def _validate_params(n: int, L: int, p: int) -> None:
 def compression_matrix(
     n: int, L: int, p: int, eps: float = 1e-9, seed: int = 0
 ) -> CompressionMatrix:
-    """Randomized compression matrix from a generic Gaussian probe.
+    """The exact compression matrix, once a generic Gaussian probe separates it.
 
     Draws nL standard normals, expands them through the order-p feature
-    map, replaces the trailing constant slot with a fresh normal draw, and
-    greedily groups columns whose probe values lie within eps of each other,
-    scanning in index order and emitting one averaging row per group leader.
-    Deterministic for a fixed seed.
+    map and replaces the trailing constant slot with a fresh normal draw.
+    The groups are the exact monomial partition; the probe only checks that
+    every two classes' values lie more than eps apart. The members of a
+    class are bit-equal products, so ``group_spread`` is 0.0. Deterministic
+    for a fixed seed.
 
     Parameters
     ----------
     eps : float
-        Grouping tolerance; the default 1e-9 lies far below the spacing of
+        Separation tolerance; the default 1e-9 lies far below the spacing of
         distinct monomials of a generic probe.
     seed : int
         Seeds the probe draw.
@@ -144,46 +145,24 @@ def compression_matrix(
     Raises
     ------
     GroupingDegenerateError
-        If the drawn probe groups columns whose index multisets differ, or
-        fails to cover every column — eps too large for the sample.
+        If two classes' probe values lie within eps: eps too large for the
+        sample.
     """
     _validate_params(n, L, p)
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
 
-    m = n * L
-    d = feature_dim(m, p)
     rng = np.random.default_rng(seed)
-    x_tilde = eth_map(rng.standard_normal(m), p)
+    x_tilde = eth_map(rng.standard_normal(n * L), p)  # checks the feature budget
     x_tilde[-1] = rng.standard_normal()
-
-    groups: list[tuple[int, ...]] = [(0,)]
-    spread = 0.0
-    for j in range(1, d):
-        cluster = np.nonzero(np.abs(x_tilde - x_tilde[j]) <= eps)[0]
-        if cluster[0] == j:
-            groups.append(tuple(int(k) for k in cluster))
-            spread = max(
-                spread, float(x_tilde[cluster].max() - x_tilde[cluster].min())
-            )
-
-    flat = sorted(k for g in groups for k in g)
-    if flat != list(range(d)):
+    R = compression_matrix_exact(n, L, p)
+    gap = np.diff(np.sort(x_tilde[[g[0] for g in R.groups]])).min()
+    if gap <= eps:
         raise GroupingDegenerateError(
-            "probe clusters overlap or leave columns uncovered; reduce eps"
+            f"probe values of distinct monomials lie {gap:.3g} apart, "
+            f"within eps = {eps:g}; reduce eps"
         )
-    class_of = {}
-    for cid, cls in enumerate(_multiset_classes(m, p)):
-        for k in cls:
-            class_of[k] = cid
-    for g in groups:
-        if len({class_of[k] for k in g}) != 1:
-            raise GroupingDegenerateError(
-                "a probe cluster mixes distinct monomial multisets; reduce eps"
-            )
-    return CompressionMatrix(
-        groups=tuple(groups), n=n, L=L, p=p, group_spread=spread
-    )
+    return R
 
 
 def compress(R: CompressionMatrix, z: np.ndarray) -> np.ndarray:

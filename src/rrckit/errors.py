@@ -27,11 +27,10 @@ class FeatureBudgetError(RRCError):
 
 
 class GroupingDegenerateError(RRCError):
-    """The randomized column grouping merged or split inconsistently.
+    """The compression probe does not separate the monomial classes.
 
-    Signals that the grouping tolerance is too large for the drawn sample:
-    a group mixes columns whose monomial index multisets differ, or the
-    groups fail to partition the columns.
+    Signals that the tolerance is too large for the drawn sample: two
+    classes' probe values lie within it.
     """
 
 

@@ -54,7 +54,8 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
 
     Raises ``ValueError`` naming ``path:line`` for a byte sequence that is not
     UTF-8, a row whose field count differs from the header's, a cell that
-    does not parse as a float, and a non-finite cell.
+    does not parse as a float, and a non-finite cell, and naming ``path`` for
+    evenly spaced times whose step exceeds the float maximum.
     """
     try:
         with Path(path).open("r", newline="", encoding="utf-8") as handle:
@@ -73,9 +74,16 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
     values = np.ascontiguousarray(table[:, 1:])
     dt = None
     if len(table) > 1:
-        diffs = np.diff(times_arr)
+        # Scaled by the power of two of the peak time, so no difference overflows.
+        e = int(np.frexp(np.max(np.abs(times_arr)))[1])
+        scaled = np.ldexp(times_arr, -e)
+        diffs = np.diff(scaled)
         if np.allclose(diffs, diffs[0], rtol=1e-9, atol=0.0):
-            dt = float((times_arr[-1] - times_arr[0]) / (len(table) - 1))
+            try:
+                dt = math.ldexp(float(scaled[-1] - scaled[0]) / (len(table) - 1), e)
+            except OverflowError:
+                raise ValueError(f"{path}: the time step from {times_arr[0]:.17g} to "
+                                 f"{times_arr[-1]:.17g} exceeds the float maximum") from None
     return TimeSeries(values, dt=dt, labels=labels, times=times_arr)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .compression import CompressionMatrix, compression_matrix_exact
-from .embedding import EmbeddingConfig, TimeSeries, check_model_size, feature_dim
+from .embedding import EmbeddingConfig, TimeSeries, check_model_size
 from .embedding import _window_matrix, monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
@@ -343,15 +343,12 @@ def save_model(model: RRCModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RRCModel:
-    """Read a model written by :func:`save_model`, schema version 2 or 1.
+    """Read a model written by :func:`save_model`, schema version 2.
 
     First, before anything of that size is computed or allocated, the model
     that n, L and p ask for must pass :func:`check_model_size`, as every
-    model the training functions return does. A version-1 document also
-    holds the compression block, which must be the exact monomial partition,
-    and the diagnostics ``nu`` (finite, > 0) and ``rng_name`` (a string).
-    These are checked, then dropped, and the rest is read as version 2,
-    whose document holds exactly the keys :func:`save_model` writes.
+    model the training functions return does. The document must hold
+    exactly the keys :func:`save_model` writes.
 
     Raises
     ------
@@ -370,14 +367,12 @@ def load_model(path: str | Path) -> RRCModel:
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_MARKER:
         raise ModelFormatError("missing or wrong format marker")
     version = doc.get("schema_version")
-    if not (type(version) is int and version in (1, SCHEMA_VERSION)):
+    if not (type(version) is int and version == SCHEMA_VERSION):
         raise ModelVersionError(
-            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION} or 1"
+            f"unsupported schema version {version!r}, expected {SCHEMA_VERSION}"
         )
     try:
         n, L, p = _checked_size(doc)
-        if version == 1:
-            _drop_v1_fields(doc, n, L, p)
         _require(doc.keys() == _DOC_KEYS,
                  f"model document keys must be {sorted(_DOC_KEYS)}, got {sorted(doc)}")
         return _model_from_doc(doc, n, L, p)
@@ -453,27 +448,6 @@ def _checked_size(doc: dict) -> tuple[int, int, int]:
     except FeatureBudgetError as exc:
         raise ModelFormatError(f"n, L, p = {n}, {L}, {p}: {exc}") from exc
     return n, L, p
-
-
-def _drop_v1_fields(doc: dict, n: int, L: int, p: int) -> None:
-    """Check the parts only version 1 holds, then remove them from ``doc``."""
-    comp = doc.pop("compression")
-    # Sized against the file before the partition of that size is enumerated.
-    _require(
-        sum(len(g) for g in comp["groups"]) == feature_dim(n * L, p),
-        "compression groups do not cover the feature columns",
-    )
-    R = compression_matrix_exact(n, L, p)
-    exact = {"rho": R.rows, "d": R.cols, "groups": [list(g) for g in R.groups],
-             "group_spread": R.group_spread}
-    _require(comp == exact, "compression block is not the exact partition")
-    diagnostics = doc["diagnostics"]
-    _require(isinstance(diagnostics, dict), "diagnostics must be an object")
-    nu, rng_name = diagnostics.pop("nu"), diagnostics.pop("rng_name")
-    _require(_is_number(nu) and nu > 0,
-             f"diagnostics nu must be a finite number > 0, got {nu!r}")
-    _require(type(rng_name) is str,
-             f"diagnostics rng_name must be a string, got {rng_name!r}")
 
 
 def _model_from_doc(doc: dict, n: int, L: int, p: int) -> RRCModel:

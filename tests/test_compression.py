@@ -5,8 +5,35 @@ import pytest
 
 import rrckit as rk
 from rrckit.errors import DimensionMismatchError, GroupingDegenerateError
+from testutil import compression_probe, greedy_compression_matrix
 
 CONFIGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (1, 3, 2)]
+
+
+def _outcome(build, *args):
+    """(groups, group_spread) of a construction, or None where it raises."""
+    try:
+        R = build(*args)
+    except GroupingDegenerateError:
+        return None
+    return R.groups, R.group_spread
+
+
+@pytest.mark.parametrize("n, L, p", [
+    (1, 1, 1), (1, 1, 3), (2, 1, 2), (2, 2, 2), (3, 1, 2),
+    (3, 2, 2), (2, 3, 3), (3, 3, 2), (1, 4, 4), (2, 2, 4),
+])
+def test_matches_greedy_probe_clustering(n, L, p):
+    """The exact classes with a separation check give what clustering the
+    probe did: the same groups and spread, and a raise for the same eps,
+    also at the probe's smallest class gap and its two float neighbours."""
+    leaders = [g[0] for g in rk.compression_matrix_exact(n, L, p).groups]
+    for seed in range(12):
+        gap = np.diff(np.sort(compression_probe(n, L, p, seed)[leaders])).min()
+        for eps in [1e-12, 1e-9, 1e-3, 0.05, 0.3, 2.0,
+                    np.nextafter(gap, 0.0), gap, np.nextafter(gap, np.inf)]:
+            assert _outcome(rk.compression_matrix, n, L, p, eps, seed) == _outcome(
+                greedy_compression_matrix, n, L, p, eps, seed), (seed, eps)
 
 
 class TestConstruction:
@@ -61,7 +88,7 @@ class TestConstruction:
                 assert R.rows == R.cols
 
     def test_oversized_eps_degenerates(self):
-        with pytest.raises(GroupingDegenerateError):
+        with pytest.raises(GroupingDegenerateError, match=r"apart, within eps = 100"):
             rk.compression_matrix(2, 1, 2, eps=100.0, seed=0)
 
     def test_deterministic_given_seed(self):

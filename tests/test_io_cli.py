@@ -126,6 +126,25 @@ class TestCsvRoundTrip:
         write_timeseries_csv(path, rk.TimeSeries(np.ones(3), times=[2.0, 1.0, 0.0]))
         assert read_timeseries_csv(path).dt == -1.0
 
+    def test_times_spanning_past_float_maximum_read_back(self, tmp_path, capsys):
+        # Their span, t[-1] - t[0], overflowed: a raw RuntimeWarning, then dt = inf.
+        path = tmp_path / "wide.csv"
+        path.write_text("t,x\n-1e308,1\n0,2\n1e308,3\n")
+        assert read_timeseries_csv(path).dt == 1e308
+        assert run_cli("suggest-lag", "--input", str(path)) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_step_past_float_maximum_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "span.csv"
+        path.write_text("t,x\n-1e308,1\n1e308,3\n")
+        message = r"span\.csv: the time step from -1e\+308 to 1e\+308 exceeds the float maximum"
+        with pytest.raises(ValueError, match=message):
+            read_timeseries_csv(path)
+        assert run_cli("suggest-lag", "--input", str(path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "span.csv: the time step" in err
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("")

@@ -3,7 +3,6 @@
 import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from testutil import (
     stable_linear_system,
 )
 
-V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
 LINEAR_CFG = rk.EmbeddingConfig(L=1, p=1)
 TIGHT = rk.SolverConfig(delta=1e-10, epsilon=1e-12)
 
@@ -453,6 +451,14 @@ class TestSparseVsDenseEstimate:
         assert lhs <= K * delta
 
 
+# The compression block a version-1 file of TestPersistence's model held.
+COMPRESSION_BLOCK = {
+    "rho": 15, "d": 21, "group_spread": 0.0,
+    "groups": [[0], [1], [2], [3], [4], [5, 8], [6, 12], [7, 16], [9], [10, 13],
+               [11, 17], [14], [15, 18], [19], [20]],
+}
+
+
 class TestPersistence:
     def make_model(self):
         rng = np.random.default_rng(57)
@@ -503,29 +509,26 @@ class TestPersistence:
             with pytest.raises(ModelVersionError):
                 rk.load_model(path)
 
-    def test_version_1_file_loads_and_resaves_as_version_2(self, tmp_path):
-        # The fixture is this model as written by the version-1 writer.
+    def test_version_1_document_is_refused(self, tmp_path, capsys):
+        # This model as the version-1 writer wrote it: version 2's keys plus
+        # the compression block and the diagnostics nu and rng_name.
         model, orbit = self.make_model()
-        loaded = rk.load_model(V1_FIXTURE)
-        assert loaded == model
-        assert loaded.W_hat.tobytes() == model.W_hat.tobytes()
-        window = rk.delay_embed(rk.TimeSeries(orbit), 2, 40)
-        assert np.array_equal(rk.forecast(loaded, window, 25).values,
-                              rk.forecast(model, window, 25).values)
-
-        expected = json.loads(V1_FIXTURE.read_text())
-        del expected["compression"]
-        del expected["diagnostics"]["nu"], expected["diagnostics"]["rng_name"]
-        expected["schema_version"] = 2
-        rk.save_model(loaded, tmp_path / "v2.json")
-        assert json.loads((tmp_path / "v2.json").read_text()) == expected
-        rk.save_model(model, tmp_path / "trained.json")
-        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "v2.json").read_bytes()
-
-
-def _swap_groups(doc):
-    groups = doc["compression"]["groups"]
-    groups[1], groups[2] = groups[2], groups[1]
+        path = tmp_path / "model_v1.json"
+        rk.save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc.update(schema_version=1, compression=COMPRESSION_BLOCK)
+        doc["diagnostics"].update(nu=1.0, rng_name="numpy-pcg64")
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelVersionError, match="unsupported schema version 1,"):
+            rk.load_model(path)
+        seed = tmp_path / "seed.csv"
+        write_timeseries_csv(seed, rk.TimeSeries(orbit))
+        code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
+                     "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "schema version 1," in err
 
 
 def _repeat_first_index(doc):
@@ -540,19 +543,9 @@ def _zero_first_coefficient(doc):
     doc["diagnostics"]["nnz"] -= 1
 
 
-# Defects of parts only a version-1 document holds.
-V1_DEFECTS = {"missing_compression", "reordered_groups", "infinite_nu", "zero_nu",
-              "numeric_rng_name"}
-
-def _v2_with_compression(doc):
-    # A version-2 document that still holds a version-1 block.
-    doc.update(schema_version=2,
-               compression=json.loads(V1_FIXTURE.read_text())["compression"])
-
-
 MODEL_DEFECTS = {
-    "missing_compression": lambda doc: doc.pop("compression"),
-    "v2_with_compression": _v2_with_compression,
+    # A version-2 document that still holds the version-1 compression block.
+    "v2_with_compression": lambda doc: doc.update(compression=COMPRESSION_BLOCK),
     "extra_top_level_key": lambda doc: doc.update(extra=1),
     "extra_w_hat_key": lambda doc: doc["W_hat"].update(extra=1),
     "w_hat_as_list": lambda doc: doc.update(W_hat=[doc["W_hat"]]),
@@ -561,7 +554,6 @@ MODEL_DEFECTS = {
     "negative_triplet_column": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(1, -1),
     "nan_coefficient": lambda doc: doc["W_hat"]["triplets"][0].__setitem__(2, float("nan")),
     "nan_training_range": lambda doc: doc["diagnostics"]["train_max"].__setitem__(0, float("nan")),
-    "reordered_groups": _swap_groups,
     "duplicate_triplet": _repeat_first_index,
     "zero_triplet": _zero_first_coefficient,
     "float_selector_offset": lambda doc: doc.update(selector_offset=float(doc["selector_offset"])),
@@ -586,17 +578,12 @@ MODEL_DEFECTS = {
     "zero_delta": lambda doc: doc["diagnostics"].update(delta=0.0),
     "negative_epsilon": lambda doc: doc["diagnostics"].update(epsilon=-1.0),
     "zero_max_iter": lambda doc: doc["diagnostics"].update(max_iter=0),
-    "infinite_nu": lambda doc: doc["diagnostics"].update(nu=float("inf")),
-    "zero_nu": lambda doc: doc["diagnostics"].update(nu=0.0),
     "negative_seed": lambda doc: doc["diagnostics"].update(seed=-5),
-    "numeric_rng_name": lambda doc: doc["diagnostics"].update(rng_name=5),
 }
 
 
-def _saved_document(version, tmp_path):
-    """TestPersistence's model as a version-1 (the fixture) or version-2 document."""
-    if version == 1:
-        return json.loads(V1_FIXTURE.read_text())
+def _saved_document(tmp_path):
+    """TestPersistence's model as a saved document."""
     model, _ = TestPersistence().make_model()
     rk.save_model(model, tmp_path / "saved.json")
     return json.loads((tmp_path / "saved.json").read_text())
@@ -604,22 +591,19 @@ def _saved_document(version, tmp_path):
 
 @pytest.mark.parametrize("defect", sorted(MODEL_DEFECTS))
 def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
-    """Each defect fails the version-1 fixture and, unless it is of a part
-    only version 1 holds, the same model written as version 2."""
     _, orbit = TestPersistence().make_model()
-    docs = [_saved_document(v, tmp_path) for v in ((1,) if defect in V1_DEFECTS else (1, 2))]
+    doc = _saved_document(tmp_path)
+    MODEL_DEFECTS[defect](doc)
     path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError):
+        rk.load_model(path)
     seed = tmp_path / "seed.csv"
     write_timeseries_csv(seed, rk.TimeSeries(orbit))
-    for doc in docs:
-        MODEL_DEFECTS[defect](doc)
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError):
-            rk.load_model(path)
-        code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
-                     "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+    code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
+                 "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def _smallest_p_over_budget(nL):
@@ -645,21 +629,25 @@ def _smallest_p_over_budget(nL):
 ])
 @pytest.mark.parametrize("version", [1, 2])
 def test_size_is_checked_before_the_model_is_built(size, over_budget, version, tmp_path):
-    doc = _saved_document(version, tmp_path)
-    doc.update(size)
+    """Loading fails fast. A version-2 document fails on the budget, or on
+    its next field; a version-1 document fails on its version, before its
+    size is read."""
+    doc = _saved_document(tmp_path)
+    doc.update(size, schema_version=version)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     start = time.perf_counter()
-    with pytest.raises(ModelFormatError) as err:
+    with pytest.raises((ModelFormatError, ModelVersionError)) as err:
         rk.load_model(path)
     assert time.perf_counter() - start < 1.0
-    assert ("budget" in str(err.value)) == over_budget
+    assert isinstance(err.value, ModelVersionError) == (version == 1)
+    assert ("budget" in str(err.value)) == (over_budget and version == 2)
 
 
 def _largest_model_document(nL, tmp_path):
     """An empty order-p model on one channel with nL = L window slots, p the
     largest the budget admits."""
-    doc = _saved_document(2, tmp_path)
+    doc = _saved_document(tmp_path)
     p = _smallest_p_over_budget(nL) - 1
     doc.update(n=1, L=nL, p=p, selector_offset=nL)
     doc["W_hat"] = {"rows": nL, "cols": math.comb(nL + p, p), "triplets": []}

@@ -4,7 +4,6 @@ solver's residual certificate."""
 
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +15,6 @@ import rrckit as rk
 from rrckit.errors import RRCError
 from rrckit.model import TrainingDiagnostics
 from testutil import kron_power, matrix_with_spectrum, straddling_spectrum
-
-V1_FIXTURE = Path(__file__).parent / "data" / "model_v1.json"
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 nonnegative = st.floats(min_value=0.0, allow_infinity=False)
@@ -90,14 +87,14 @@ def test_rollout_slides_to_the_dilated_output(n, L, p, seed):
 
 
 @pytest.fixture(scope="module")
-def documents(workdir):
-    """The texts of a trained model's version-2 document and of the version-1 fixture."""
+def document(workdir):
+    """The text of a trained model's saved document."""
     model = rk.train_autoregressive(
         rk.TimeSeries(np.cos(0.3 * np.arange(40.0))[:, None] * [1.0, 0.5]),
         rk.EmbeddingConfig(L=2, p=2), rk.SolverConfig(delta=1e-9, epsilon=1e-9),
     )
     rk.save_model(model, workdir / "trained.json")
-    return [(workdir / "trained.json").read_text(), V1_FIXTURE.read_text()]
+    return (workdir / "trained.json").read_text()
 
 
 json_values = st.recursive(
@@ -123,10 +120,10 @@ def _paths(node, prefix=()):
 @settings(max_examples=400, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
-def test_fuzzed_document_loads_or_fails_cleanly(data, documents, workdir):
-    """Replace or drop one position of a version-2 or version-1 document:
-    loading it and a one-step forecast either succeed or raise RRCError."""
-    doc = json.loads(data.draw(st.sampled_from(documents)))
+def test_fuzzed_document_loads_or_fails_cleanly(data, document, workdir):
+    """Replace or drop one position of a saved document: loading it and a
+    one-step forecast either succeed or raise RRCError."""
+    doc = json.loads(document)
     path = data.draw(st.sampled_from(list(_paths(doc))))
     drop = len(path) > 0 and data.draw(st.booleans())
     value = None if drop else data.draw(json_values)

@@ -10,10 +10,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 import rrckit as rk
-from rrckit.compression import compress
-from rrckit.embedding import build_data_matrices
+from rrckit.compression import CompressionMatrix, _multiset_classes, compress
+from rrckit.embedding import build_data_matrices, eth_map, feature_dim
 from rrckit import finance
-from rrckit.errors import RankZeroError, StepUnderflowError
+from rrckit.errors import GroupingDegenerateError, RankZeroError, StepUnderflowError
 from rrckit.linalg import SolverConfig, _column_norms, _Projection, _truncated_projection
 from rrckit.model import RRCModel
 
@@ -84,6 +84,43 @@ def kron_power(x: np.ndarray, p: int) -> np.ndarray:
         functools.reduce(operator.mul, x[sorted(idx)])
         for idx in itertools.product(range(x.size), repeat=p)
     ])
+
+
+def compression_probe(n: int, L: int, p: int, seed: int) -> np.ndarray:
+    """``compression_matrix``'s probe: the feature expansion of nL standard
+    normals, its trailing constant slot replaced by a fresh normal draw."""
+    rng = np.random.default_rng(seed)
+    x_tilde = eth_map(rng.standard_normal(n * L), p)
+    x_tilde[-1] = rng.standard_normal()
+    return x_tilde
+
+
+def greedy_compression_matrix(
+    n: int, L: int, p: int, eps: float = 1e-9, seed: int = 0
+) -> CompressionMatrix:
+    """Oracle for ``compression_matrix``: cluster the probe by value proximity.
+
+    The same probe, grouped greedily in index order: each column not within
+    eps of an earlier one leads a group of every column within eps of it.
+    Raises GroupingDegenerateError if the groups overlap, leave a column
+    uncovered, or mix distinct monomial multisets.
+    """
+    d = feature_dim(n * L, p)
+    x_tilde = compression_probe(n, L, p, seed)
+    groups: list[tuple[int, ...]] = [(0,)]
+    spread = 0.0
+    for j in range(1, d):
+        cluster = np.nonzero(np.abs(x_tilde - x_tilde[j]) <= eps)[0]
+        if cluster[0] == j:
+            groups.append(tuple(int(k) for k in cluster))
+            spread = max(spread, float(x_tilde[cluster].max() - x_tilde[cluster].min()))
+
+    if sorted(k for g in groups for k in g) != list(range(d)):
+        raise GroupingDegenerateError("probe clusters overlap or leave columns uncovered")
+    class_of = {k: cid for cid, cls in enumerate(_multiset_classes(n * L, p)) for k in cls}
+    if any(len({class_of[k] for k in g}) != 1 for g in groups):
+        raise GroupingDegenerateError("a probe cluster mixes distinct monomial multisets")
+    return CompressionMatrix(groups=tuple(groups), n=n, L=L, p=p, group_spread=spread)
 
 
 class SVDFactors(NamedTuple):
