@@ -21,7 +21,6 @@ import numpy as np
 from .embedding import (
     EmbeddingConfig,
     TimeSeries,
-    autocorrelation,
     delay_embed,
     feature_dim,
     suggest_lag,
@@ -296,9 +295,9 @@ def cmd_exposure(args) -> int:
 
 def cmd_suggest_lag(args) -> int:
     data = read_timeseries_csv(args.input)
-    lags, suggestion = suggest_lag(data)
+    lags, suggestion, constant = suggest_lag(data)
     for j, (label, lag) in enumerate(zip(data.labels, lags)):
-        if np.isnan(autocorrelation(data.values[:, j], 0)[0]):
+        if j in constant:
             print(
                 f"warning: channel {label} is constant; autocorrelation undefined, "
                 f"reporting lag 1",

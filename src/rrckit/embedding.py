@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -30,7 +29,6 @@ __all__ = [
     "check_model_size",
     "paired_windows",
     "build_data_matrices",
-    "autocorrelation",
     "suggest_lag",
 ]
 
@@ -283,55 +281,37 @@ def build_data_matrices(x: TimeSeries, y: TimeSeries, cfg: EmbeddingConfig) -> D
     return DataMatrices(H0=H0, H1=H1)
 
 
-def _lag_correlation(x: np.ndarray) -> Callable[[int], float] | None:
-    """The function k -> sample autocorrelation of channel x at lag k (biased
-    normalization), or None when every sample of x is equal.
-
-    x is first scaled by the power of two of its peak magnitude. The scaling
-    is exact and commutes with the mean and the subtraction, so each ratio
-    keeps its bits, while the sums of squares stay below overflow and the
-    peak-to-peak range stays below 2. A constant channel is told by that
-    range, not by the centred sum of squares: the mean of equal samples can
-    round, leaving a nonzero residue in every centred sample.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
-    if np.ptp(x) == 0.0:
-        return None
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    return lambda k: float(np.dot(centered[: x.size - k], centered[k:])) / denom
-
-
-def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
-    """Sample autocorrelation at lags 0..max_lag (biased normalization).
-
-    Returns NaN at every lag for a constant channel, one whose samples are
-    all equal.
-    """
-    rho = _lag_correlation(x)
-    if rho is None:
-        return np.full(max_lag + 1, np.nan)
-    return np.array([rho(k) for k in range(max_lag + 1)])
-
-
-def suggest_lag(series: TimeSeries) -> tuple[list[int], int]:
+def suggest_lag(series: TimeSeries) -> tuple[list[int], int, list[int]]:
     """First lag where each channel's autocorrelation drops below 1/e.
 
     A heuristic aid for choosing the window length, not part of the training
-    path. Constant channels, whose autocorrelation is NaN, report lag 1; no
-    crossing reports T - 1. Returns (per-channel lags, their maximum).
+    path; the autocorrelation is the biased sample one. A constant channel,
+    one whose samples are all equal, has none and reports lag 1; no crossing
+    reports T - 1. Returns (per-channel lags, their maximum, the indices of
+    the constant channels).
+
+    Each channel is first scaled by the power of two of its peak magnitude.
+    The scaling is exact and commutes with the mean and the subtraction, so
+    each ratio keeps its bits, while the sums of squares stay below overflow
+    and the peak-to-peak range stays below 2. A constant channel is told by
+    that range, not by the centred sum of squares: the mean of equal samples
+    can round, leaving a nonzero residue in every centred sample.
     """
     if series.T < 3:
         raise ValueError(f"need at least 3 samples, got {series.T}")
     threshold = 1.0 / np.e
     T = series.T
-    lags = []
+    lags, constant = [], []
     for j in range(series.n):
-        rho = _lag_correlation(series.values[:, j])
+        x = series.values[:, j]
+        x = np.ldexp(x, -np.frexp(np.max(np.abs(x)))[1])
         k = 1
-        if rho is not None:
-            while k < T - 1 and not rho(k) < threshold:
+        if np.ptp(x) == 0.0:
+            constant.append(j)
+        else:
+            c = x - x.mean()
+            denom = float(np.dot(c, c))
+            while k < T - 1 and not float(np.dot(c[: T - k], c[k:])) / denom < threshold:
                 k += 1
         lags.append(k)
-    return lags, max(lags)
+    return lags, max(lags), constant

@@ -70,7 +70,9 @@ class SparseSolution:
         Euclidean residual ||A x_j - y_j|| per column, in the original
         (unprojected) system.
     rank : int
-        Numerical rank of A at the configured threshold.
+        The count of singular values above delta of R, A's triangular factor
+        in the QR of ``[A | Y]``. It can differ from :func:`rank_delta`'s
+        count, from A's own SVD, when a singular value lies near delta.
     column_bounds : list of float
         The residual certificate of each column (see :func:`sparse_lstsq`).
     slack : float
@@ -161,7 +163,8 @@ def _truncated_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projec
     r = int(np.sum(S > delta))
     if r == 0:
         raise RankZeroError(
-            f"rank_delta(A, {delta:g}) = 0: no singular value exceeds the threshold"
+            f"rank 0 at delta = {delta:g}: no singular value of A's triangular factor "
+            f"in the QR of [A | Y] exceeds it (the largest is {np.max(S, initial=0.0):.3g})"
         )
     Ur = Ur[:, :r]
     Y_hat = Ur.T @ C
@@ -204,7 +207,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     Raises
     ------
     RankZeroError
-        If ``rank_delta(A, cfg.delta) == 0``.
+        If ``SparseSolution.rank`` would be 0.
     DimensionMismatchError
         If Y does not have m rows.
     """
@@ -228,34 +231,25 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
 
     X = np.zeros((n, p))
-    nnz, iters, residuals = [], [], []
+    iters, residuals = [], []
     for j in range(p):
-        x_prev = X0[:, j].copy()
-        # Stable descending-magnitude order; ties resolve to the lower index.
-        order = np.argsort(-np.abs(x_prev), kind="stable")
-        n0 = support_size(np.abs(x_prev))
-        x = x_prev
-        k = 0
-        error = 1.0 + cfg.delta
+        x = X0[:, j]
         # The minimum-norm solution on a column set does not depend on the
         # order of its columns, so each set is solved once, in the order it
         # first came in; a set that comes back repeats that iterate exactly.
-        solved: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        while k < cfg.max_iter and error > cfg.delta:
-            support = order[:n0]
+        solved: dict[bytes, np.ndarray] = {}
+        for k in range(1, cfg.max_iter + 1):
+            # Stable descending-magnitude order; ties resolve to the lower index.
+            magnitudes = np.abs(x)
+            support = np.argsort(-magnitudes, kind="stable")[:support_size(magnitudes)]
             key = np.sort(support).tobytes()
             if key not in solved:
-                solved[key] = (support, _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j]))
-            columns, coeffs = solved[key]
-            x = np.zeros(n)
-            x[columns] = coeffs
-            error = float(np.max(np.abs(x - x_prev))) if n else 0.0
-            x_prev = x
-            order = np.argsort(-np.abs(x), kind="stable")
-            n0 = support_size(np.abs(x))
-            k += 1
+                solved[key] = np.zeros(n)
+                solved[key][support] = _minimum_norm_lstsq(A_hat[:, support], Y_hat[:, j])
+            x_prev, x = x, solved[key]
+            if not np.max(np.abs(x - x_prev)) > cfg.delta:
+                break
         X[:, j] = x
-        nnz.append(int(np.count_nonzero(x)))
         iters.append(k)
         residuals.append(float(_column_norms(A @ x - Y[:, j])))
 
@@ -269,7 +263,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
               + deflated + rounding * _column_norms(Y))
     return SparseSolution(
         X=X,
-        nnz_per_column=nnz,
+        nnz_per_column=np.count_nonzero(X, axis=0).tolist(),
         iterations_per_column=iters,
         residual_norms=residuals,
         rank=r,

@@ -208,12 +208,13 @@ def _fit(
 
     ``inputs`` (T x n) are the input samples, whose range the rollout guard uses.
 
-    An exact row, a single 1.0 at column j, reproduces its target, the
-    feature row G[j], so its residual is 0. Its certificate in
-    :func:`sparse_lstsq`'s terms, ||x|| * slack + ||(I - Q) G[j]|| with
-    ||x|| = 1, is recorded as slack + delta: the rank rule leaves
-    ||(I - Q) G[j]|| <= delta. That residual is exactly 0, so it needs no
-    rounding term.
+    Every residual figure comes from the one product W_hat G - H1: a column
+    residual is the norm of its row. An exact row, a single 1.0 at column j,
+    reproduces its target, the feature row G[j], so its residual is 0. Its
+    certificate in :func:`sparse_lstsq`'s terms, ||x|| * slack +
+    ||(I - Q) G[j]|| with ||x|| = 1, is recorded as slack + delta: the rank
+    rule leaves ||(I - Q) G[j]|| <= delta. That residual is exactly 0, so it
+    needs no rounding term.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -221,14 +222,8 @@ def _fit(
     W_hat[rows] = solution.X.T  # W_hat stays C-contiguous, as a reloaded model is
 
     residual = W_hat @ G - H1
-    exact = np.ones(len(H1), dtype=bool)
-    exact[rows] = False
-    column_residuals = np.empty(len(H1))
-    column_residuals[rows] = solution.residual_norms
-    column_residuals[exact] = _column_norms(residual[exact].T)
-    column_bounds = np.empty(len(H1))
+    column_bounds = np.full(len(H1), solution.slack + solver.delta)
     column_bounds[rows] = solution.column_bounds
-    column_bounds[exact] = solution.slack + solver.delta
     residual_fro = float(_column_norms(residual.ravel()))
     h1_norm = float(_column_norms(H1.ravel()))
     diagnostics = TrainingDiagnostics(
@@ -236,7 +231,7 @@ def _fit(
         nnz=int(np.count_nonzero(W_hat)),
         residual_fro=residual_fro,
         relative_residual=residual_fro / h1_norm if h1_norm > 0 else 0.0,
-        column_residuals=column_residuals.tolist(),
+        column_residuals=_column_norms(residual.T).tolist(),
         column_bounds=column_bounds.tolist(),
         train_min=[float(v) for v in inputs.min(axis=0)],
         train_max=[float(v) for v in inputs.max(axis=0)],

@@ -128,7 +128,8 @@ def _fit(
 
     solution = sparse_lstsq(features[train], targets[train], solver)
     M = solution.X.T
-    residual = float(_column_norms((features[train] @ solution.X - targets[train]).ravel()))
+    fitted_all = features @ solution.X
+    residual = float(_column_norms((fitted_all[train] - targets[train]).ravel()))
     model = RemittanceModel(
         kind=kind,
         M=M,
@@ -137,7 +138,6 @@ def _fit(
         residual_fro=residual,
     )
 
-    fitted_all = features @ solution.X
     if eval_range == "all":
         fitted = fitted_all
         observed = targets

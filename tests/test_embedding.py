@@ -8,8 +8,8 @@ import pytest
 
 import rrckit as rk
 from rrckit import embedding
-from rrckit.embedding import autocorrelation
 from rrckit.errors import DimensionMismatchError, FeatureBudgetError, OutOfRangeError
+from testutil import autocorrelation
 
 
 class TestTimeSeries:
@@ -237,12 +237,22 @@ class TestBuildDataMatrices:
             rk.build_data_matrices(x, x, rk.EmbeddingConfig(L=10, p=3))
 
 
+def full_range_lag(x):
+    """Oracle: the first 1/e crossing of the autocorrelation over every lag up
+    to T - 1, which suggest_lag computed before it stopped early."""
+    acf = autocorrelation(x, x.size - 1)
+    if np.isnan(acf[0]):
+        return 1
+    below = np.nonzero(acf[1:] < 1.0 / np.e)[0]
+    return int(below[0]) + 1 if below.size else x.size - 1
+
+
 class TestLagSuggestion:
     def test_white_noise_lag_one(self):
         rng = np.random.default_rng(40)
         ts = rk.TimeSeries(rng.standard_normal(400))
-        lags, suggestion = rk.suggest_lag(ts)
-        assert lags == [1] and suggestion == 1
+        lags, suggestion, constant = rk.suggest_lag(ts)
+        assert lags == [1] and suggestion == 1 and constant == []
 
     def test_cosine_quarter_period(self):
         t = np.arange(400)
@@ -252,14 +262,27 @@ class TestLagSuggestion:
         acf = autocorrelation(ts.values[:, 0], 20)
         expected = int(np.nonzero(acf[1:] < 1.0 / np.e)[0][0]) + 1
         assert expected == 8
-        lags, suggestion = rk.suggest_lag(ts)
-        assert lags == [8] and suggestion == 8
+        lags, suggestion, constant = rk.suggest_lag(ts)
+        assert lags == [8] and suggestion == 8 and constant == []
 
     def test_constant_channel_reports_one(self):
         values = np.column_stack([np.full(50, 2.0), np.sin(np.arange(50.0))])
-        lags, suggestion = rk.suggest_lag(rk.TimeSeries(values))
-        assert lags[0] == 1
+        lags, suggestion, constant = rk.suggest_lag(rk.TimeSeries(values))
+        assert lags[0] == 1 and constant == [0]
         assert suggestion == max(lags)
+
+    def test_reports_constant_channels(self):
+        # Equal samples whose mean rounds (7.77), equal samples at either end
+        # of the float range and zeros are constant; a channel with one
+        # sample one ulp apart is not.
+        rounding = np.full(400, 7.77)
+        ulp = rounding.copy()
+        ulp[-1] = np.nextafter(7.77, 8.0)
+        values = np.column_stack([np.sin(np.arange(400.0)), rounding, np.full(400, 1.5e308),
+                                  ulp, np.full(400, -1e-300), np.zeros(400)])
+        lags, _, constant = rk.suggest_lag(rk.TimeSeries(values))
+        assert constant == [1, 2, 4, 5]
+        assert [lags[j] for j in constant] == [1, 1, 1, 1]
 
     def test_needs_three_samples(self):
         with pytest.raises(ValueError):
@@ -272,29 +295,22 @@ class TestLagSuggestion:
         # the scaled channel was reported at lag 1.
         t = np.arange(400) * 0.1
         b = np.cos(2 * np.pi * t / 4)
-        lags, suggestion = rk.suggest_lag(rk.TimeSeries(np.column_stack([scale * b, b])))
-        assert lags == [8, 8] and suggestion == 8
+        lags, suggestion, constant = rk.suggest_lag(
+            rk.TimeSeries(np.column_stack([scale * b, b])))
+        assert lags == [8, 8] and suggestion == 8 and constant == []
 
     def test_autocorrelation_is_scale_free(self):
-        # Unscaled, dot(c, c) of the 1e200 channel overflows and every lag
-        # reads NaN.
+        # Unscaled, dot(c, c) of a 1e200 channel overflows and every lag
+        # reads NaN. A power-of-two scaling keeps every ratio's bits, so its
+        # lag; so does 1e200 here, on these channels' crossings.
         t = np.arange(400) * 0.1
-        b = np.cos(2 * np.pi * t / 4)
-        expected = autocorrelation(b, 3)
-        for exponent in (664, -600):  # 2**664 is about 1e200
-            assert np.array_equal(autocorrelation(np.ldexp(b, exponent), 3), expected)
-        np.testing.assert_allclose(autocorrelation(b * 1e200, 3), expected, rtol=1e-12)
+        rng = np.random.default_rng(42)
+        for x in (np.cos(2 * np.pi * t / 4), np.cumsum(rng.standard_normal(300))):
+            scaled = [x, np.ldexp(x, 664), np.ldexp(x, -600), x * 1e200]  # 2**664 ~ 1e200
+            lags, _, constant = rk.suggest_lag(rk.TimeSeries(np.column_stack(scaled)))
+            assert lags == [full_range_lag(x)] * 4 and constant == []
 
     def test_first_crossing_matches_full_range(self):
-        # Oracle: the first 1/e crossing of the autocorrelation over every
-        # lag up to T - 1, which suggest_lag computed before it stopped early.
-        def full_range_lag(x):
-            acf = autocorrelation(x, x.size - 1)
-            if np.isnan(acf[0]):
-                return 1
-            below = np.nonzero(acf[1:] < 1.0 / np.e)[0]
-            return int(below[0]) + 1 if below.size else x.size - 1
-
         orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=40.0, samples=4000))
         rng = np.random.default_rng(41)
         walks = [np.cumsum(rng.standard_normal(T)) for T in (3, 4, 5, 17, 64, 300)]
@@ -302,9 +318,9 @@ class TestLagSuggestion:
         # about 1e-15 in each centred sample and a defined autocorrelation.
         rounding = [np.full(400, 7.77), np.full(12000, 0.1)]
         for x in rounding:
-            assert np.isnan(autocorrelation(x, 5)).all()
+            assert rk.suggest_lag(rk.TimeSeries(x))[2] == [0]
         channels = [orbit.values[:, 0], np.full(60, 1.5)] + rounding + walks
         for x in channels:
-            lags, _ = rk.suggest_lag(rk.TimeSeries(x))
+            lags, _, _ = rk.suggest_lag(rk.TimeSeries(x))
             assert lags == [full_range_lag(x)]
         assert full_range_lag(orbit.values[:, 0]) > 64  # needs several doublings

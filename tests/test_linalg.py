@@ -203,6 +203,17 @@ class TestSparseLstsq:
             assert sol.rank == r
             assert max(sol.nnz_per_column) <= r
 
+    def test_nnz_counts_the_returned_columns(self):
+        rng = np.random.default_rng(39)
+        for _ in range(10):
+            m, n, p = (int(v) for v in rng.integers(4, 20, size=3))
+            k = min(m, n)
+            A = matrix_with_spectrum(rng, m, n, straddling_spectrum(rng, k, 1e-2, k // 2))
+            sol = rk.sparse_lstsq(A, rng.standard_normal((m, p)),
+                                  rk.SolverConfig(delta=1e-2, epsilon=1e-1))
+            assert sol.nnz_per_column == np.count_nonzero(sol.X, axis=0).tolist()
+            assert all(type(v) is int for v in sol.nnz_per_column)
+
     def test_nonconvergence_is_flagged_not_raised(self):
         # First refinement moves the iterate away from the pinv start, so a
         # cap of one pass exits through the iteration limit, not convergence.

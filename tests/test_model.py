@@ -271,6 +271,28 @@ def test_target_fit_keeps_exact_sparse_rows(chaotic_orbit):
     assert model.diagnostics.nnz <= 200
 
 
+@pytest.mark.parametrize("fit", ["p2", "p3", "target"])
+def test_column_residuals_are_the_rows_of_residual_fro(chaotic_orbit, fit):
+    """Every residual figure comes from one product, W_hat G - H1, so the
+    column residuals add up, in squares, to residual_fro. The solver's own
+    per-column products differ from it by up to 1.1e-6 relative at p=3."""
+    v = chaotic_orbit.values[:6000]
+    solver = rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50)
+    if fit == "target":
+        model = rk.train_rrc(rk.TimeSeries(v), rk.TimeSeries(2.0 * v),
+                             rk.EmbeddingConfig(L=3, p=2), solver)
+    else:
+        model = rk.train_autoregressive(
+            rk.TimeSeries(v), rk.EmbeddingConfig(L=3, p=int(fit[1])), solver, seed=42)
+    diag = model.diagnostics
+    residuals = np.array(diag.column_residuals)
+    assert math.sqrt(np.sum(residuals ** 2)) == pytest.approx(diag.residual_fro, rel=1e-12)
+    assert np.all(residuals <= np.array(diag.column_bounds))
+    if fit != "target":  # an autoregressive fit's shift rows are exact
+        shift = [i for i in range(9) if i not in model.selector_indices]
+        assert len(shift) == 6 and all(residuals[i] == 0.0 for i in shift)
+
+
 # Ends of the held-out windows: seeded sample counts past the 6000 training samples.
 HELD_OUT_ENDS = np.random.default_rng(0).integers(6000, 11000, 40)
 

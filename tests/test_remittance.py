@@ -5,6 +5,7 @@ import pytest
 
 import rrckit as rk
 from rrckit.errors import DegenerateChannelError, DimensionMismatchError
+from rrckit.linalg import _column_norms
 
 SOLVER = rk.SolverConfig(delta=1e-6, epsilon=1e-4, max_iter=100)
 
@@ -173,6 +174,15 @@ class TestTrainFraction:
             rk.RemittancePanel(R=perturbed_R, D=perturbed_D), SOLVER, train_fraction=0.8
         )
         assert np.array_equal(model.M, other.M)
+
+    @pytest.mark.parametrize("fit, start", [(rk.fit_nonlagged, 0), (rk.fit_lagged, 1)])
+    def test_residual_is_the_fitted_series_over_the_training_rows(self, fit, start):
+        panel, _ = rk.synth_panel(10, 6, 20, seed=71, noise_level=0.05)
+        model, report = fit(panel, SOLVER, train_fraction=0.8)
+        rows = int(np.ceil(0.8 * 20)) - start
+        deviation = report.fitted[:rows] - panel.D[start:][:rows]
+        assert model.residual_fro == float(_column_norms(deviation.ravel()))
+        assert model.residual_fro == pytest.approx(np.linalg.norm(deviation), rel=1e-12)
 
     def test_holdout_eval_range(self):
         panel, _ = rk.synth_panel(8, 5, 20, seed=70, noise_level=0.1)

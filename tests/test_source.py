@@ -1,7 +1,9 @@
 """The package's source against pyproject.toml: requires-python >= 3.10 and
-numpy as the one runtime dependency."""
+numpy as the one runtime dependency; and each module's ``__all__`` against
+the names the module defines."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -31,3 +33,13 @@ def test_imports_only_numpy_and_the_stdlib(path):
                  if isinstance(node, ast.ImportFrom) and node.level == 0}
     outside = {name.split(".")[0] for name in imported} - set(sys.stdlib_module_names)
     assert outside <= {"numpy"}
+
+
+@by_name
+def test_every_exported_name_is_defined(path):
+    # A stale entry would also break perfbench's tracer, which looks up every
+    # name in each module's __all__.
+    module = importlib.import_module(
+        "rrckit" if path.stem == "__init__" else f"rrckit.{path.stem}")
+    missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
+    assert missing == []

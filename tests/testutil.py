@@ -296,6 +296,24 @@ def integrate_ode_per_sample(
     return out
 
 
+def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
+    """Oracle for ``suggest_lag``: the biased sample autocorrelation of
+    channel x at lags 0..max_lag, NaN at every lag when x is constant.
+
+    Like the package, x is first scaled by the power of two of its peak
+    magnitude, which keeps every ratio's bits, and a constant channel is told
+    by its peak-to-peak range.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    x = np.ldexp(x, -np.frexp(np.max(np.abs(x), initial=0.0))[1])
+    if np.ptp(x) == 0.0:
+        return np.full(max_lag + 1, np.nan)
+    c = x - x.mean()
+    denom = float(np.dot(c, c))
+    return np.array([float(np.dot(c[: x.size - k], c[k:])) / denom
+                     for k in range(max_lag + 1)])
+
+
 class PerPassSolution(NamedTuple):
     X: np.ndarray
     iterations: list[int]
