@@ -146,8 +146,11 @@ def cmd_train(args) -> int:
         model = train_autoregressive(x, cfg, solver, seed=args.seed)
     else:
         target = read_timeseries_csv(args.target)
-        if target.T != data.T:
-            raise ValueError(f"input has {data.T} rows but target has {target.T}")
+        if target.values.shape != data.values.shape:
+            raise ValueError(
+                f"input is {data.T}x{data.n} (rows x channels) but target is "
+                f"{target.T}x{target.n}"
+            )
         if n_train < args.lag:
             raise ValueError(
                 f"training split of {n_train} rows too short for lag {args.lag}"
@@ -187,6 +190,12 @@ def cmd_forecast(args) -> int:
         raise ValueError(f"truth has {truth.n} channels, model expects {model.n}")
     window = delay_embed(seed_data, model.L, seed_data.T)
     predicted = forecast(model, window, args.horizon, guard_factor=args.guard_factor)
+    if truth is not None:
+        steps = min(args.horizon, truth.T)
+        try:
+            nrmse = exposure_measure(truth.values[:steps], predicted.values[:steps])
+        except DegenerateChannelError as exc:
+            raise DegenerateChannelError(exc.channel, truth.labels[exc.channel]) from exc
 
     if seed_data.dt is not None and seed_data.times is not None:
         t0 = float(seed_data.times[-1])
@@ -201,10 +210,6 @@ def cmd_forecast(args) -> int:
     print(f"out={args.out}")
 
     if truth is not None:
-        steps = min(args.horizon, truth.T)
-        nrmse = exposure_measure(
-            truth.values[:steps], predicted.values[:steps]
-        )
         for label, value in zip(truth.labels, nrmse):
             print(f"nrmse_{label}={value:.17g}")
     return 0

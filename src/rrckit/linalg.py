@@ -9,7 +9,7 @@ and re-solving on the restricted support until the iterate stabilizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,26 +55,24 @@ class SolverConfig:
 
 @dataclass
 class SparseSolution:
-    """Result of :func:`sparse_lstsq`.
+    """Result of :func:`sparse_lstsq`: the coefficients and the facts of the
+    solve that only the solver knows.
 
     Attributes
     ----------
     X : (n, p) ndarray
-        Coefficient matrix, one solution per right-hand-side column.
-    nnz_per_column : list of int
-        Number of nonzero entries in each returned column.
+        Coefficient matrix, one solution per right-hand-side column; its
+        support sizes are ``np.count_nonzero(X, axis=0)``.
     iterations_per_column : list of int
         Refinement passes executed per column; equal to the cap when the
         column did not converge (not an error).
-    residual_norms : list of float
-        Euclidean residual ||A x_j - y_j|| per column, in the original
-        (unprojected) system.
     rank : int
         The count of singular values above delta of R, A's triangular factor
         in the QR of ``[A | Y]``. It can differ from :func:`rank_delta`'s
         count, from A's own SVD, when a singular value lies near delta.
     column_bounds : list of float
-        The residual certificate of each column (see :func:`sparse_lstsq`).
+        The residual certificate of each column (see :func:`sparse_lstsq`):
+        a bound on ``||A x_j - y_j||``, which a caller forms from X itself.
     slack : float
         The certificate's slack per unit coefficient norm,
         ``sqrt(r*(min(m,n)-r)) * delta``; column j's bound is
@@ -82,12 +80,10 @@ class SparseSolution:
     """
 
     X: np.ndarray
-    nnz_per_column: list[int] = field(default_factory=list)
-    iterations_per_column: list[int] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
-    rank: int = 0
-    column_bounds: list[float] = field(default_factory=list)
-    slack: float = 0.0
+    iterations_per_column: list[int]
+    rank: int
+    column_bounds: list[float]
+    slack: float
 
 
 def rank_delta(A: np.ndarray, delta: float) -> int:
@@ -120,11 +116,10 @@ def _triangular_factor(M: np.ndarray) -> np.ndarray:
     triangles once more; the blocks' Q factors are orthonormal, so that last
     factor is one of M. A few short factorizations run faster than one of
     the whole tall M, whose panel updates are matrix-vector products. With
-    m <= _QR_BLOCK_ROWS this is one QR of M.
+    m <= _QR_BLOCK_ROWS there is one block, and the second factorization
+    leaves its triangle unchanged.
     """
     blocks = np.array_split(M, max(1, -(-M.shape[0] // _QR_BLOCK_ROWS)))
-    if len(blocks) == 1:
-        return np.linalg.qr(M, mode="r")
     return np.linalg.qr(np.vstack([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
 
 
@@ -231,7 +226,7 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
         return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
 
     X = np.zeros((n, p))
-    iters, residuals = [], []
+    iters = []
     for j in range(p):
         x = X0[:, j]
         # The minimum-norm solution on a column set does not depend on the
@@ -251,7 +246,6 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
                 break
         X[:, j] = x
         iters.append(k)
-        residuals.append(float(_column_norms(A @ x - Y[:, j])))
 
     slack = float(np.sqrt(r * (min(m, n) - r))) * cfg.delta
     # Each entry of a computed A x - y is a dot product of n terms and one
@@ -262,11 +256,5 @@ def sparse_lstsq(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> SparseSolut
     bounds = (_column_norms(X) * (slack + rounding * a_fro)
               + deflated + rounding * _column_norms(Y))
     return SparseSolution(
-        X=X,
-        nnz_per_column=np.count_nonzero(X, axis=0).tolist(),
-        iterations_per_column=iters,
-        residual_norms=residuals,
-        rank=r,
-        column_bounds=bounds.tolist(),
-        slack=slack,
+        X=X, iterations_per_column=iters, rank=r, column_bounds=bounds.tolist(), slack=slack
     )

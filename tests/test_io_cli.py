@@ -285,6 +285,20 @@ class TestTrain:
         np.testing.assert_allclose(diagnostics.relative_residual,
                                    base.diagnostics.relative_residual, rtol=1e-9)
 
+    @pytest.mark.parametrize("rows, channels", [(300, 3), (600, 2)], ids=["rows", "channels"])
+    def test_target_shape_mismatch_is_usage_error(self, orbit_csv, tmp_path, capsys,
+                                                  rows, channels):
+        data = read_timeseries_csv(orbit_csv)
+        target = tmp_path / "target.csv"
+        write_timeseries_csv(target, rk.TimeSeries(data.values[:rows, :channels], dt=data.dt))
+        model_path = tmp_path / "m.json"
+        code = run_cli("train", "--input", str(orbit_csv), "--target", str(target),
+                       "--lag", "1", "--out", str(model_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "600x3" in err and f"{rows}x{channels}" in err
+        assert not model_path.exists()
+
     def test_paired_target(self, orbit_csv, tmp_path):
         target = tmp_path / "target.csv"
         data = read_timeseries_csv(orbit_csv)
@@ -326,6 +340,22 @@ class TestForecast:
                        "--out", str(out)) == 0
         stdout = capsys.readouterr().out
         assert "nrmse_x1=" in stdout and "nrmse_x3=" in stdout
+
+    def test_degenerate_truth_fails_before_any_output(self, trained, orbit_csv, tmp_path,
+                                                      capsys):
+        # Every input is checked before the first output is written.
+        data = read_timeseries_csv(orbit_csv)
+        values = data.values.copy()
+        values[:, 1] = 0.0
+        truth = tmp_path / "truth.csv"
+        write_timeseries_csv(truth, rk.TimeSeries(values, dt=data.dt, labels=data.labels))
+        out = tmp_path / "fc.csv"
+        capsys.readouterr()
+        code = run_cli("forecast", "--model", str(trained), "--seed-data", str(orbit_csv),
+                       "--horizon", "5", "--truth", str(truth), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: observed channel x2 is identically zero\n")
+        assert not out.exists()
 
     def test_blowup_reports_step(self, tmp_path, capsys):
         data = tmp_path / "double.csv"

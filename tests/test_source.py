@@ -1,6 +1,7 @@
 """The package's source against pyproject.toml: requires-python >= 3.10 and
-numpy as the one runtime dependency; and each module's ``__all__`` against
-the names the module defines."""
+numpy as the one runtime dependency; each module's ``__all__`` against the
+names the module defines; and ``np.linalg.norm`` confined to the scaled
+column norm."""
 
 import ast
 import importlib
@@ -43,3 +44,26 @@ def test_every_exported_name_is_defined(path):
         "rrckit" if path.stem == "__init__" else f"rrckit.{path.stem}")
     missing = [name for name in getattr(module, "__all__", []) if not hasattr(module, name)]
     assert missing == []
+
+
+def _linalg_norm_uses(node, scope):
+    """The scope of every np.linalg.norm reference (or numpy.linalg norm import)."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}"
+        if isinstance(child, ast.Attribute) and child.attr == "norm":
+            if ast.unparse(child.value).split(".")[-1] == "linalg":
+                yield inner
+        if isinstance(child, ast.ImportFrom) and child.module == "numpy.linalg":
+            if any(alias.name == "norm" for alias in child.names):
+                yield inner
+        yield from _linalg_norm_uses(child, inner)
+
+
+def test_only_the_scaled_column_norm_calls_linalg_norm():
+    # Every reported residual figure is a power-of-two-scaled pairwise sum
+    # without BLAS, taken by linalg._column_norms; an unscaled norm can
+    # overflow near the float maximum.
+    uses = [use for path in SOURCES for use in _linalg_norm_uses(parse(path), path.stem)]
+    assert uses == ["linalg._column_norms"]

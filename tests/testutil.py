@@ -14,7 +14,7 @@ from rrckit.compression import CompressionMatrix, _multiset_classes, compress
 from rrckit.embedding import build_data_matrices, eth_map, feature_dim
 from rrckit import finance
 from rrckit.errors import GroupingDegenerateError, RankZeroError, StepUnderflowError
-from rrckit.linalg import SolverConfig, _column_norms, _Projection, _truncated_projection
+from rrckit.linalg import SolverConfig, _Projection, _truncated_projection
 from rrckit.model import RRCModel
 
 
@@ -317,7 +317,6 @@ def autocorrelation(x: np.ndarray, max_lag: int) -> np.ndarray:
 class PerPassSolution(NamedTuple):
     X: np.ndarray
     iterations: list[int]
-    residuals: list[float]
     supports: list[list[bytes]]  # per column, the support set of every pass (sorted)
 
 
@@ -343,7 +342,7 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
         return min(max(int(np.sum(magnitudes > cfg.epsilon)), 1), r)
 
     X = np.zeros((n, Y.shape[1]))
-    iterations, residuals, supports = [], [], []
+    iterations, supports = [], []
     for j in range(Y.shape[1]):
         x_prev = X0[:, j].copy()
         order = np.argsort(-np.abs(x_prev), kind="stable")
@@ -367,9 +366,8 @@ def sparse_lstsq_per_pass(A: np.ndarray, Y: np.ndarray, cfg: SolverConfig) -> Pe
             k += 1
         X[:, j] = x
         iterations.append(k)
-        residuals.append(float(_column_norms(A @ x - Y[:, j])))
         supports.append(passes)
-    return PerPassSolution(X, iterations, residuals, supports)
+    return PerPassSolution(X, iterations, supports)
 
 
 def tall_svd_projection(A: np.ndarray, Y: np.ndarray, delta: float) -> _Projection:
