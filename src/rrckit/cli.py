@@ -141,8 +141,8 @@ def cmd_train(args) -> int:
 
     data = read_timeseries_csv(args.input)
     n_train = max(1, int(args.train_frac * data.T))
+    x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
     if args.target is None:
-        x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
         model = train_autoregressive(x, cfg, solver, seed=args.seed)
     else:
         target = read_timeseries_csv(args.target)
@@ -155,7 +155,6 @@ def cmd_train(args) -> int:
             raise ValueError(
                 f"training split of {n_train} rows too short for lag {args.lag}"
             )
-        x = TimeSeries(data.values[:n_train], dt=data.dt, labels=data.labels)
         y = TimeSeries(target.values[:n_train], dt=target.dt, labels=target.labels)
         model = train_rrc(x, y, cfg, solver, seed=args.seed)
 
@@ -195,7 +194,10 @@ def cmd_forecast(args) -> int:
         try:
             nrmse = exposure_measure(truth.values[:steps], predicted.values[:steps])
         except DegenerateChannelError as exc:
-            raise DegenerateChannelError(exc.channel, truth.labels[exc.channel]) from exc
+            raise RRCError(
+                f"truth channel {truth.labels[exc.channel]} is zero in all of its "
+                f"first {steps} rows"
+            ) from exc
 
     if seed_data.dt is not None and seed_data.times is not None:
         t0 = float(seed_data.times[-1])

@@ -7,9 +7,11 @@ distinct monomials, and the pseudoinverse (broadcast each group mean back to
 its slots) reconstructs the original features exactly on permutation-
 symmetric inputs.
 
-Both constructions return the partition that enumerating index multisets
-gives; the randomized one also checks that a generic Gaussian sample's
-feature expansion separates its classes by more than a tolerance.
+Both constructions return the partition of the slots by the distinct
+monomial each one equals, read off the table through which the Kronecker
+features gather the distinct monomials (``embedding._monomial_of_slot``).
+The randomized one also checks that the distinct monomials of a generic
+Gaussian sample lie more than a tolerance apart.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .embedding import _sorted_monomial_indices, eth_map, feature_dim
+from .embedding import _monomial_of_slot, feature_dim, monomial_features
 from .errors import DimensionMismatchError, GroupingDegenerateError
 
 __all__ = [
@@ -88,20 +90,14 @@ class CompressionMatrix:
 def _multiset_classes(m: int, p: int) -> tuple[tuple[int, ...], ...]:
     """Partition of feature columns by monomial index multiset.
 
-    Columns whose multi-indices are permutations of each other land in the
-    same class; the trailing constant column is its own class. Classes are
+    Class i holds the slots that equal row i of ``monomial_features``, in
+    ascending order; the trailing constant column is its own class. A
+    monomial's first slot is its own sorted index, so the classes are
     ordered by leading column index.
     """
-    classes: dict[tuple, list[int]] = {}
-    offset = 0
-    for q in range(1, p + 1):
-        idx = _sorted_monomial_indices(m, q)
-        for k, row in enumerate(idx):
-            classes.setdefault((q,) + tuple(row), []).append(offset + k)
-        offset += m**q
-    classes[("const",)] = [offset]
-    ordered = sorted(classes.values(), key=lambda g: g[0])
-    return tuple(tuple(g) for g in ordered)
+    slot = _monomial_of_slot(m, p)
+    ends = np.cumsum(np.bincount(slot))[:-1]
+    return tuple(tuple(g.tolist()) for g in np.split(np.argsort(slot, kind="stable"), ends))
 
 
 def compression_matrix_exact(n: int, L: int, p: int) -> CompressionMatrix:
@@ -127,12 +123,12 @@ def compression_matrix(
 ) -> CompressionMatrix:
     """The exact compression matrix, once a generic Gaussian probe separates it.
 
-    Draws nL standard normals, expands them through the order-p feature
-    map and replaces the trailing constant slot with a fresh normal draw.
-    The groups are the exact monomial partition; the probe only checks that
-    every two classes' values lie more than eps apart. The members of a
-    class are bit-equal products, so ``group_spread`` is 0.0. Deterministic
-    for a fixed seed.
+    Draws nL standard normals, evaluates their distinct monomials of orders
+    1..p, one value per class, and replaces the trailing constant with a
+    fresh normal draw. The groups are the exact monomial partition; the
+    probe only checks that every two classes' values lie more than eps
+    apart. The members of a class are bit-equal copies, so ``group_spread``
+    is 0.0. Deterministic for a fixed seed.
 
     Parameters
     ----------
@@ -152,11 +148,11 @@ def compression_matrix(
     if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
 
+    R = compression_matrix_exact(n, L, p)  # checks the feature budget
     rng = np.random.default_rng(seed)
-    x_tilde = eth_map(rng.standard_normal(n * L), p)  # checks the feature budget
-    x_tilde[-1] = rng.standard_normal()
-    R = compression_matrix_exact(n, L, p)
-    gap = np.diff(np.sort(x_tilde[[g[0] for g in R.groups]])).min()
+    values = monomial_features(rng.standard_normal(n * L), p)
+    values[-1] = rng.standard_normal()
+    gap = np.diff(np.sort(values)).min()
     if gap <= eps:
         raise GroupingDegenerateError(
             f"probe values of distinct monomials lie {gap:.3g} apart, "

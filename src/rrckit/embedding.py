@@ -4,7 +4,8 @@ A length-L window of an n-channel series is flattened block by block
 (channel-major, oldest sample first within each block) and expanded into the
 stack of its Kronecker powers of orders 1..p plus a trailing constant 1.
 Stacking those feature vectors over a whole series yields the data matrices
-of the paper; model identification evaluates only the distinct monomials.
+of the paper. Each distinct monomial is evaluated once; model identification
+uses those values, and the Kronecker features are a gather of them.
 """
 
 from __future__ import annotations
@@ -124,40 +125,16 @@ def _check_budget(entries: int) -> None:
         )
 
 
-@lru_cache(maxsize=64)
-def _sorted_monomial_indices(m: int, q: int) -> np.ndarray:
-    """(m**q, q) row-major multi-indices with each row sorted ascending.
-
-    Row k corresponds to the k-th entry of the q-fold Kronecker power.
-    Sorting each multi-index makes permuted entries evaluate through the
-    identical float product, so they compare bit-equal.
-    """
-    grids = np.meshgrid(*([np.arange(m)] * q), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
-    idx.sort(axis=1)
-    idx.setflags(write=False)
-    return idx
-
-
 def eth_map(x: np.ndarray, p: int) -> np.ndarray:
     """Polynomial feature vector [x^(1); x^(2); ...; x^(p); 1] of length d_p(m).
 
-    The final entry is exactly 1, carrying the constant term of any model
-    trained on these features.
+    Each slot is a copy of the distinct monomial it equals, so permuted slots
+    are bit-equal. The final entry is exactly 1, carrying the constant term.
     """
     x = np.asarray(x, dtype=float).ravel()
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    _check_budget(feature_dim(x.size, p))
-    return _stacked_products(x, p)
-
-
-def _stacked_products(X: np.ndarray, p: int) -> np.ndarray:
-    """Products of X over each sorted multi-index of orders 1..p, then a constant 1."""
-    parts = [np.prod(X[_sorted_monomial_indices(X.shape[0], q)], axis=1)
-             for q in range(1, p + 1)]
-    parts.append(np.ones((1,) + X.shape[1:]))
-    return np.concatenate(parts)
+    return monomial_features(x, p)[_monomial_of_slot(x.size, p)]
 
 
 @lru_cache(maxsize=64)
@@ -186,12 +163,12 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     X is one window (m,) or one window per column (m, cols). Order 1 is X;
     order q is built from order q-1 by one gather and one multiply (see
     :func:`_prefix_tables`), so each monomial is the left-to-right product of
-    its ascending multi-index. For finite features the C(m+p, p) rows equal
-    ``compress(compression_matrix_exact(n, L, p), H0)`` bit for bit, H0 the
-    Kronecker features of the same windows; a group that overflows is inf
-    here, where ``compress`` may give NaN (inf - inf). Raises
-    FeatureBudgetError if C(m+p, p) times the number of windows exceeds
-    ``DEFAULT_FEATURE_BUDGET``.
+    its ascending multi-index. These are the package's only polynomial
+    products; the Kronecker features gather them (:func:`_monomial_of_slot`),
+    and ``compress`` of finite Kronecker features gives these rows back bit for
+    bit (a group that overflows may compress to NaN, inf - inf).
+    Raises FeatureBudgetError if C(m+p, p) times the number of windows
+    exceeds ``DEFAULT_FEATURE_BUDGET``.
     """
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
@@ -202,6 +179,26 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
         parts.append(parts[-1][prefix] * X[last])
     parts.append(np.ones((1,) + X.shape[1:]))
     return np.concatenate(parts)
+
+
+@lru_cache(maxsize=64)
+def _monomial_of_slot(m: int, p: int) -> np.ndarray:
+    """Row of ``monomial_features`` on m entries that each Kronecker slot of
+    orders 1..p equals: the rank of the slot's sorted multi-index among its
+    order's, whose lexicographic order is :func:`_prefix_tables`' order.
+    Raises FeatureBudgetError if d_p(m) exceeds ``DEFAULT_FEATURE_BUDGET``.
+    """
+    _check_budget(feature_dim(m, p))
+    parts, offset = [], 0
+    for q in range(1, p + 1):
+        idx = np.indices((m,) * q).reshape(q, -1).T
+        idx.sort(axis=1)
+        parts.append(offset + np.unique(idx, axis=0, return_inverse=True)[1])
+        offset += math.comb(m + q - 1, q)
+    parts.append([offset])
+    table = np.concatenate(parts)
+    table.setflags(write=False)
+    return table
 
 
 def check_model_size(m: int, p: int) -> None:
@@ -277,7 +274,7 @@ def build_data_matrices(x: TimeSeries, y: TimeSeries, cfg: EmbeddingConfig) -> D
     Xw, H1 = paired_windows(x, y, cfg.L)  # (m, cols) each
     m, cols = Xw.shape
     _check_budget(feature_dim(m, cfg.p) * cols)
-    H0 = _stacked_products(Xw, cfg.p)
+    H0 = monomial_features(Xw, cfg.p)[_monomial_of_slot(m, cfg.p)]
     return DataMatrices(H0=H0, H1=H1)
 
 

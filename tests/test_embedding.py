@@ -9,7 +9,7 @@ import pytest
 import rrckit as rk
 from rrckit import embedding
 from rrckit.errors import DimensionMismatchError, FeatureBudgetError, OutOfRangeError
-from testutil import autocorrelation
+from testutil import autocorrelation, kron_power
 
 
 class TestTimeSeries:
@@ -119,6 +119,12 @@ class TestKronPower:
                 other = perm[0] * m * m + perm[1] * m + perm[2]
                 assert z[flat] == z[other]  # exact equality, not approx
 
+    def test_slot_table_of_a_pair(self):
+        # x1, x2 | x1x1, x1x2, x2x1, x2x2 | 1  onto  x1, x2, x1^2, x1x2, x2^2, 1
+        table = embedding._monomial_of_slot(2, 2)
+        np.testing.assert_array_equal(table, [0, 1, 2, 3, 3, 4, 5])
+        assert not table.flags.writeable
+
     def test_budget_guard(self):
         # The order-9 block alone holds 10**9 entries.
         with pytest.raises(FeatureBudgetError):
@@ -217,8 +223,9 @@ class TestBuildDataMatrices:
         data = rk.build_data_matrices(x, y, cfg)
         assert data.H0.shape[1] == 20 - 3 + 1
         for k in (0, 5, 17):
+            window = rk.delay_embed(x, 3, 3 + k)
             np.testing.assert_array_equal(
-                data.H0[:, k], rk.eth_map(rk.delay_embed(x, 3, 3 + k), 2)
+                data.H0[:, k], np.concatenate([window, kron_power(window, 2), [1.0]])
             )
             np.testing.assert_array_equal(
                 data.H1[:, k], rk.delay_embed(y, 3, 3 + k)

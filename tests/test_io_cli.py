@@ -354,7 +354,24 @@ class TestForecast:
         code = run_cli("forecast", "--model", str(trained), "--seed-data", str(orbit_csv),
                        "--horizon", "5", "--truth", str(truth), "--out", str(out))
         assert code == 1
-        assert capsys.readouterr() == ("", "error: observed channel x2 is identically zero\n")
+        assert capsys.readouterr() == ("", "error: truth channel x2 is zero in all of its "
+                                           "first 5 rows\n")
+        assert not out.exists()
+
+    def test_truth_zero_only_in_the_compared_rows(self, trained, orbit_csv, tmp_path, capsys):
+        # The horizon's rows are all that is compared, and the error says so.
+        data = read_timeseries_csv(orbit_csv)
+        values = data.values.copy()
+        values[:10, 1] = 0.0
+        truth = tmp_path / "truth.csv"
+        write_timeseries_csv(truth, rk.TimeSeries(values, dt=data.dt, labels=data.labels))
+        out = tmp_path / "fc.csv"
+        capsys.readouterr()
+        code = run_cli("forecast", "--model", str(trained), "--seed-data", str(orbit_csv),
+                       "--horizon", "10", "--truth", str(truth), "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr() == ("", "error: truth channel x2 is zero in all of its "
+                                           "first 10 rows\n")
         assert not out.exists()
 
     def test_blowup_reports_step(self, tmp_path, capsys):

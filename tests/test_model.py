@@ -1,5 +1,6 @@
 """Model training, transform, rollout, selector laws, persistence."""
 
+import dataclasses
 import json
 import math
 import time
@@ -128,7 +129,7 @@ class TestDistinctMonomialPath:
 
         for module in (rk, rk.compression, rk.embedding, rk.model):
             for name in ("compress", "compression_matrix", "compression_matrix_exact",
-                         "eth_map", "build_data_matrices"):
+                         "eth_map", "build_data_matrices", "_monomial_of_slot"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         svd_calls = []
@@ -626,6 +627,23 @@ def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
                  "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_kronecker_slot_table_is_held_to_the_budget(monkeypatch):
+    """A model can pass check_model_size while its d_p(nL) Kronecker slots
+    exceed the budget; its compression matrix then fails on the budget
+    before a slot table is built. At a budget of 2000, nL = 2 and p = 12
+    give 14 C(14, 12) = 1274 but d_12(2) = 8191."""
+    monkeypatch.setattr(rk.embedding, "DEFAULT_FEATURE_BUDGET", 2000)
+    rk.compression._multiset_classes.cache_clear()
+    rk.embedding._monomial_of_slot.cache_clear()
+    rk.embedding.check_model_size(2, 12)
+    model, _ = TestPersistence().make_model()
+    model = dataclasses.replace(model, n=1, L=2, p=12, W_hat=np.zeros((2, math.comb(14, 12))))
+    with pytest.raises(FeatureBudgetError):
+        model.R
+    with pytest.raises(FeatureBudgetError):
+        rk.eth_map(np.ones(2), 12)
 
 
 def _smallest_p_over_budget(nL):

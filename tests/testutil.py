@@ -10,7 +10,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 import rrckit as rk
-from rrckit.compression import CompressionMatrix, _multiset_classes, compress
+from rrckit.compression import CompressionMatrix, compress
 from rrckit.embedding import build_data_matrices, eth_map, feature_dim
 from rrckit import finance
 from rrckit.errors import GroupingDegenerateError, RankZeroError, StepUnderflowError
@@ -117,8 +117,9 @@ def greedy_compression_matrix(
 
     if sorted(k for g in groups for k in g) != list(range(d)):
         raise GroupingDegenerateError("probe clusters overlap or leave columns uncovered")
-    class_of = {k: cid for cid, cls in enumerate(_multiset_classes(n * L, p)) for k in cls}
-    if any(len({class_of[k] for k in g}) != 1 for g in groups):
+    multiset_of = [tuple(sorted(idx)) for q in range(1, p + 1)
+                   for idx in itertools.product(range(n * L), repeat=q)] + [()]
+    if any(len({multiset_of[k] for k in g}) != 1 for g in groups):
         raise GroupingDegenerateError("a probe cluster mixes distinct monomial multisets")
     return CompressionMatrix(groups=tuple(groups), n=n, L=L, p=p, group_spread=spread)
 
