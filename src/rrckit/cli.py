@@ -32,6 +32,7 @@ from .linalg import SolverConfig
 from .model import forecast, load_model, save_model, train_autoregressive, train_rrc
 from .remittance import (
     RemittancePanel,
+    _train_rows,
     exposure as exposure_measure,
     fit_lagged,
     fit_nonlagged,
@@ -234,7 +235,11 @@ def cmd_exposure(args) -> int:
             panel, solver, train_fraction=args.train_frac, eval_range=args.eval_range
         )
     except DegenerateChannelError as exc:
-        raise DegenerateChannelError(exc.channel, deposits.labels[exc.channel]) from exc
+        # The held-out quarters, or all the fit predicts: the lagged fit skips the first.
+        first = 1 + (_train_rows(panel.quarters, args.train_frac)
+                     if args.eval_range == "holdout" else int(args.lagged))
+        raise RRCError(f"deposits channel {deposits.labels[exc.channel]} is zero in all of its "
+                       f"evaluated quarters, {first} to {panel.quarters}") from exc
 
     ranking = rank_exposures(report, k=panel.institutions)
     rank_of = {inst: pos + 1 for pos, (inst, _) in enumerate(ranking)}
@@ -263,15 +268,11 @@ def cmd_exposure(args) -> int:
         + [f"obs_{label}" for label in deposits.labels]
         + [f"fit_{label}" for label in deposits.labels]
     )
-    fitted_rows = []
-    for k in range(report.fitted.shape[0]):
-        quarter = report.eval_start + k + 1
-        observed_row = deposits.values[report.eval_start + k]
-        fitted_rows.append(
-            [quarter]
-            + [float(v) for v in observed_row]
-            + [float(v) for v in report.fitted[k]]
-        )
+    start = report.eval_start
+    fitted_rows = [
+        [start + k + 1, *map(float, deposits.values[start + k]), *map(float, row)]
+        for k, row in enumerate(report.fitted)
+    ]
 
     # All three tables or none: a failed write removes the ones written before it.
     written = []

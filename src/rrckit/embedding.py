@@ -132,8 +132,6 @@ def eth_map(x: np.ndarray, p: int) -> np.ndarray:
     are bit-equal. The final entry is exactly 1, carrying the constant term.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     return monomial_features(x, p)[_monomial_of_slot(x.size, p)]
 
 
@@ -167,9 +165,11 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     products; the Kronecker features gather them (:func:`_monomial_of_slot`),
     and ``compress`` of finite Kronecker features gives these rows back bit for
     bit (a group that overflows may compress to NaN, inf - inf).
-    Raises FeatureBudgetError if C(m+p, p) times the number of windows
-    exceeds ``DEFAULT_FEATURE_BUDGET``.
+    Raises ValueError if p < 1, and FeatureBudgetError if C(m+p, p) times the
+    number of windows exceeds ``DEFAULT_FEATURE_BUDGET``.
     """
+    if p < 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
     _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]))

@@ -53,11 +53,9 @@ class StepUnderflowError(RRCError):
 class DegenerateChannelError(RRCError):
     """An observed channel is identically zero, so its exposure normalizer vanishes."""
 
-    def __init__(self, channel: int, label: str | None = None):
+    def __init__(self, channel: int):
         self.channel = channel
-        self.label = label
-        name = label if label is not None else f"column {channel + 1}"
-        super().__init__(f"observed channel {name} is identically zero")
+        super().__init__(f"observed channel column {channel + 1} is identically zero")
 
 
 class ModelFormatError(RRCError):

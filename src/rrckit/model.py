@@ -175,23 +175,21 @@ def train_autoregressive(
 
 
 def _finite_features(windows: np.ndarray, x: TimeSeries, p: int) -> np.ndarray:
-    """monomial_features of x's windows, which must all be finite.
+    """monomial_features of x's windows, once their peaks show them all finite.
 
-    Raises ValueError naming the channel with the largest magnitude in the
-    windows when a feature overflows: a product of q <= p entries that
-    overflows makes that channel's own order-p power overflow too.
+    An order-q feature is a left-to-right product of q <= p window entries, so
+    by monotone, sign-symmetric IEEE rounding none exceeds in magnitude the
+    order-q power of the largest magnitude M, itself an order-q feature. Those
+    powers are all finite exactly when the order-p one, math.prod([M] * p), is;
+    otherwise this raises ValueError naming M's channel before building any.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf, then inf * 0
-        G = monomial_features(windows, p)
-    if not np.all(np.isfinite(G)):
-        peaks = np.abs(windows).max(axis=1).reshape(x.n, -1).max(axis=1)
-        j = int(np.argmax(peaks))
+    peaks = np.abs(windows).max(axis=1).reshape(x.n, -1).max(axis=1)
+    j = int(np.argmax(peaks))
+    if not math.isfinite(math.prod([float(peaks[j])] * p)):
         name = x.labels[j] if x.labels else str(j)
-        raise ValueError(
-            f"order-{p} features overflow: channel {name} reaches {peaks[j]:.3g}; "
-            "rescale it"
-        )
-    return G
+        raise ValueError(f"order-{p} features overflow: channel {name} reaches "
+                         f"{peaks[j]:.3g}; rescale it")
+    return monomial_features(windows, p)
 
 
 def _fit(

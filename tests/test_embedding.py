@@ -179,6 +179,15 @@ class TestMonomialFeatures:
         for k in range(7):
             np.testing.assert_array_equal(G[:, k], rk.monomial_features(X[:, k], 3))
 
+    @pytest.mark.parametrize("p", [0, -1])
+    @pytest.mark.parametrize("features", [rk.monomial_features, rk.eth_map],
+                             ids=["monomial_features", "eth_map"])
+    def test_order_below_one_rejected(self, features, p):
+        # Order 0 returned [x; 1], m + 1 rows where C(m, 0) = 1; order -1
+        # failed inside math.comb.
+        with pytest.raises(ValueError, match=f"p must be >= 1, got {p}"):
+            features(np.ones(3), p)
+
     def test_budget_applies_to_compressed_size(self, monkeypatch):
         X = np.ones((6, 50))
         rho = math.comb(6 + 3, 3)

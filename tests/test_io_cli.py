@@ -462,6 +462,31 @@ class TestExposure:
         assert code == 1
         assert "d5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, zero_rows, quarters", [
+        (["--eval-range", "holdout"], slice(23, 24), "24 to 24"),
+        (["--eval-range", "holdout", "--lagged"], slice(23, 24), "24 to 24"),
+        (["--eval-range", "all", "--lagged"], slice(1, 24), "2 to 24"),
+    ], ids=["holdout", "lagged-holdout", "lagged-all"])
+    def test_degenerate_channel_names_the_evaluated_quarters(self, tmp_path, capsys, flags,
+                                                             zero_rows, quarters):
+        # x2 is nonzero in a quarter the exposures do not compare; the error
+        # used to call it identically zero.
+        panel, _ = rk.synth_panel(18, 15, 24, seed=5)
+        values = panel.D.copy()
+        values[zero_rows, 1] = 0.0
+        remit, deposits = tmp_path / "remit.csv", tmp_path / "deposits.csv"
+        write_timeseries_csv(remit, rk.TimeSeries(panel.R))
+        write_timeseries_csv(deposits, rk.TimeSeries(values))
+        outputs = tmp_path / "outputs"
+        outputs.mkdir()
+        code = run_cli("exposure", "--remittances", str(remit), "--deposits", str(deposits),
+                       "--train-frac", "0.95", *flags, "--out", str(outputs / "o.csv"))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: deposits channel x2 is zero in all of its evaluated quarters, {quarters}\n"
+        )
+        assert not list(outputs.iterdir())
+
 
 class TestSuggestLag:
     def test_white_noise(self, tmp_path, capsys):
@@ -602,7 +627,15 @@ def boundary_inputs(orbit_csv, tmp_path_factory):
     panel, _ = rk.synth_panel(6, 4, 12, seed=93, noise_level=0.0)
     write_timeseries_csv(d / "remit.csv", rk.TimeSeries(panel.R))
     write_timeseries_csv(d / "deposits.csv", rk.TimeSeries(panel.D))
+    write_timeseries_csv(d / "two_quarters.csv", rk.TimeSeries(panel.D[:2]))
     (d / "a_directory").mkdir()
+    model_lag3 = d / "model_lag3.json"
+    assert run_cli("train", "--input", str(orbit_csv), "--lag", "3", "--order", "1",
+                   "--train-frac", "0.5", "--out", str(model_lag3)) == 0
+    orbit = read_timeseries_csv(orbit_csv)
+    two_rows, two_channels = d / "two_rows.csv", d / "two_channels.csv"
+    write_timeseries_csv(two_rows, rk.TimeSeries(orbit.values[:2], dt=orbit.dt))
+    write_timeseries_csv(two_channels, rk.TimeSeries(orbit.values[:, :2], dt=orbit.dt))
     return {
         "orbit": orbit_csv,
         "model": model,
@@ -613,6 +646,10 @@ def boundary_inputs(orbit_csv, tmp_path_factory):
         "abc": _defect_csv(orbit_csv, d / "abc.csv", 8, lambda c: c[:2] + ["abc"] + c[3:]),
         "nan": _defect_csv(orbit_csv, d / "nan.csv", 10, lambda c: c[:3] + ["nan"]),
         "latin1": _non_utf8_csv(orbit_csv, d / "latin1.csv", 7),
+        "model_lag3": model_lag3,
+        "two_rows": two_rows,
+        "two_channels": two_channels,
+        "two_quarters": d / "two_quarters.csv",
     }
 
 
@@ -678,6 +715,23 @@ BOUNDARY_CASES = [
      "nan.csv:10: non-finite value nan in column 'x3'"),
     ("non-utf8-input", ["suggest-lag", "--input", "{latin1}"],
      "latin1.csv:7: 'utf-8' codec can't decode byte 0xff"),
+    ("seed-shorter-than-lag",
+     ["forecast", "--model", "{model_lag3}", "--seed-data", "{two_rows}", "--horizon", "5",
+      "--out", "{out}"], "seed data has 2 rows, model needs at least 3"),
+    ("seed-channel-count",
+     ["forecast", "--model", "{model}", "--seed-data", "{two_channels}", "--horizon", "5",
+      "--out", "{out}"], "seed data has 2 channels, model expects 3"),
+    ("truth-channel-count", _FORECAST + ["--truth", "{two_channels}", "--out", "{out}"],
+     "truth has 2 channels, model expects 3"),
+    ("params-without-ic", ["simulate", "--params", "3,0.1,1", "--out", "{out}"],
+     "--params requires --ic"),
+    ("no-regime-or-params", ["simulate", "--out", "{out}"],
+     "choose --regime or give explicit --params/--ic"),
+    *[(f"train-frac-{frac}", _TRAIN + ["--train-frac", frac, "--out", "{out}"],
+       "--train-frac must lie in (0, 1]") for frac in ("0", "1.5", "nan")],
+    ("exposure-row-counts-differ",
+     ["exposure", "--remittances", "{remit}", "--deposits", "{two_quarters}",
+      "--out", "{out}"], "remittances have 12 rows but deposits have 2"),
     ("exposure-adjacency-out-in-missing-dir",
      _EXPOSURE + ["--out", "{out}", "--adjacency-out", "{missing}/a.csv"],
      "No such file or directory"),

@@ -1,16 +1,21 @@
 """Model training, transform, rollout, selector laws, persistence."""
 
 import dataclasses
+import functools
 import json
 import math
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rrckit as rk
 from rrckit.cli import main
-from rrckit.embedding import DEFAULT_FEATURE_BUDGET
+from rrckit.embedding import DEFAULT_FEATURE_BUDGET, _window_matrix
 from rrckit.errors import (
     DimensionMismatchError,
     FeatureBudgetError,
@@ -155,6 +160,92 @@ class TestDistinctMonomialPath:
         assert b.diagnostics.seed == 9
         with pytest.raises(ValueError):
             self.fit(orbit, seed=-1)
+
+
+@functools.lru_cache(maxsize=None)
+def _largest_finite_base(p):
+    """The largest double whose order-p power in monomial_features, the
+    left-to-right p-fold product, is finite (a bisection on the bit patterns)."""
+    def finite_power(bits):
+        x = np.array([bits], dtype=np.int64).view(np.float64)
+        with np.errstate(over="ignore"):
+            return np.isfinite(rk.monomial_features(x, p)[p - 1])
+
+    lo, hi = (int(np.float64(v).view(np.int64)) for v in (1.0, np.finfo(float).max))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        lo, hi = (mid, hi) if finite_power(mid) else (lo, mid - 1)
+    return float(np.int64(lo).view(np.float64))
+
+
+def assert_overflow_rule(values, p, L=2):
+    """_finite_features raises exactly when monomial_features of the same
+    windows holds a non-finite value. It then names a channel holding the
+    largest entry, whose own order-p power overflows; otherwise it returns
+    those features bit for bit."""
+    x = rk.TimeSeries(values, labels=[f"c{j}" for j in range(values.shape[1])])
+    windows = _window_matrix(x.values, L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = rk.monomial_features(windows, p)
+        powers = rk.monomial_features(windows.reshape(1, -1), p)[p - 1]
+    if np.all(np.isfinite(G)):
+        assert rk.model._finite_features(windows, x, p).tobytes() == G.tobytes()
+        return
+    with pytest.raises(ValueError) as info:
+        rk.model._finite_features(windows, x, p)
+    j = int(re.fullmatch(rf"order-{p} features overflow: channel c(\d+) reaches \S+; "
+                         "rescale it", str(info.value)).group(1))
+    peaks = np.abs(windows).reshape(x.n, -1).max(axis=1)
+    assert peaks[j] == peaks.max()
+    assert f"reaches {peaks[j]:.3g};" in str(info.value)
+    assert not np.all(np.isfinite(powers.reshape(x.n, -1)[j]))
+
+
+class TestOverflowRule:
+    """Overflow is decided from the window peaks before any feature is built."""
+
+    def test_overflowing_series_builds_no_feature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("features built for an overflowing series")
+
+        monkeypatch.setattr(rk.model, "monomial_features", forbidden)
+        t = np.arange(40) * 0.1
+        x = rk.TimeSeries(np.column_stack([np.cos(t), 1e200 * np.sin(t)]), labels=["a", "b"])
+        cfg, solver = rk.EmbeddingConfig(L=2, p=2), rk.SolverConfig(delta=1e-8)
+        message = "order-2 features overflow: channel b reaches 1e+200; rescale it"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rk.train_autoregressive(x, cfg, solver)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rk.train_rrc(x, x, cfg, solver)
+
+    # At p = 1 the edge is the float maximum, past which no series value lies.
+    @pytest.mark.parametrize("p, above", [
+        pytest.param(p, above, id=f"p{p}-{'past-edge' if above else 'edge'}")
+        for p in (1, 2, 3, 4) for above in (False, True) if p > 1 or not above
+    ])
+    @pytest.mark.parametrize("channel", [0, 1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+    def test_edge_of_the_largest_power(self, p, above, sign, channel):
+        peak = _largest_finite_base(p)
+        if above:
+            peak = math.nextafter(peak, math.inf)
+        values = np.cos(np.arange(18.0)).reshape(6, 3)
+        values[3, channel] = sign * peak
+        assert_overflow_rule(values, p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(data=st.data(), p=st.integers(1, 4), n=st.integers(1, 3))
+    def test_windows_near_the_edge(self, data, p, n):
+        # Entries within 3 ulps of the edge, of either sign, and the edge
+        # scaled by a unit in [-1, 1].
+        edge = int(np.float64(_largest_finite_base(p)).view(np.int64))
+        near = st.tuples(st.sampled_from([1.0, -1.0]), st.integers(-3, 3)).map(
+            lambda sk: sk[0] * float(np.int64(edge + sk[1]).view(np.float64)))
+        scaled = st.floats(-1.0, 1.0).map(lambda u: u * _largest_finite_base(p))
+        entries = st.one_of(near, scaled).filter(math.isfinite)
+        T = data.draw(st.integers(2, 5))
+        values = data.draw(hnp.arrays(np.float64, (T, n), elements=entries))
+        assert_overflow_rule(values, p, L=data.draw(st.integers(1, 2)))
 
 
 @pytest.fixture(scope="module")

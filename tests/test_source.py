@@ -1,7 +1,7 @@
 """The package's source against pyproject.toml: requires-python >= 3.10 and
 numpy as the one runtime dependency; each module's ``__all__`` against the
-names the module defines; and ``np.linalg.norm`` confined to the scaled
-column norm."""
+names the module defines; ``np.linalg.norm`` confined to the scaled column
+norm; and no switch of numpy's floating-point error handling."""
 
 import ast
 import importlib
@@ -67,3 +67,15 @@ def test_only_the_scaled_column_norm_calls_linalg_norm():
     # overflow near the float maximum.
     uses = [use for path in SOURCES for use in _linalg_norm_uses(parse(path), path.stem)]
     assert uses == ["linalg._column_norms"]
+
+
+def test_no_module_silences_floating_point_errors():
+    # A fit decides overflow from the window peaks before it forms a product
+    # (model._finite_features), so no computation needs numpy's overflow or
+    # invalid-value warnings switched off.
+    silencers = {"errstate", "seterr"}
+    uses = [f"{path.stem}:{node.lineno}" for path in SOURCES for node in ast.walk(parse(path))
+            if isinstance(node, ast.Attribute) and node.attr in silencers
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name in silencers for alias in node.names)]
+    assert uses == []
