@@ -234,19 +234,17 @@ def delay_embed(series: TimeSeries, L: int, t: int) -> np.ndarray:
         raise OutOfRangeError(
             f"t = {t} outside the embeddable range [{L}, {series.T}]"
         )
-    window = series.values[t - L : t, :]  # (L, n), rows oldest..newest
-    return window.T.reshape(-1).copy()
+    return _window_matrix(series.values[t - L : t], L).ravel()
 
 
 def _window_matrix(values: np.ndarray, L: int) -> np.ndarray:
-    """All delay windows as columns: (nL, T - L + 1), channel-major rows."""
-    T, n = values.shape
-    cols = T - L + 1
-    out = np.empty((n * L, cols))
-    for j in range(n):
-        for lag in range(L):
-            out[j * L + lag, :] = values[lag : lag + cols, j]
-    return out
+    """All delay windows as columns: (nL, T - L + 1), channel-major rows.
+
+    Column k holds sample rows k .. k + L - 1, channel by channel, oldest
+    first. The strided view is copied once into a fresh C-contiguous array.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(values, L, axis=0)  # (cols, n, L)
+    return windows.transpose(1, 2, 0).copy().reshape(values.shape[1] * L, -1)
 
 
 def paired_windows(x: TimeSeries, y: TimeSeries, L: int) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,7 @@ A trained model evaluates the distinct polynomial monomials of a delay
 window (the Kronecker features averaged by the exact compression matrix) and
 maps them through a sparse output-coupling matrix; a 0/1 selector then
 extracts each channel's newest predicted sample from the dilated output.
-Iterating prediction and window sliding simulates the system forward.
+Iterating prediction over a buffer of samples simulates the system forward.
 """
 
 from __future__ import annotations
@@ -139,6 +139,8 @@ def train_rrc(
         If the model fails :func:`check_model_size`, the limit
         :func:`load_model` applies, or its features exceed the budget.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     check_model_size(x.n * cfg.L, cfg.p)
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
     G = _finite_features(Xw, x, cfg.p)    # (rho, cols)
@@ -160,6 +162,8 @@ def train_autoregressive(
     monomials come first, in slot order), and the solver fits the n newest
     rows alone.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if x.T < cfg.L + 1:
         raise ValueError(
             f"autoregressive training needs at least L + 1 = {cfg.L + 1} samples, got {x.T}"
@@ -214,8 +218,6 @@ def _fit(
     rule leaves ||(I - Q) G[j]|| <= delta. That residual is exactly 0, so it
     needs no rounding term.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
     solution = sparse_lstsq(G.T, H1[rows].T, solver)
     W_hat[rows] = solution.X.T  # W_hat stays C-contiguous, as a reloaded model is
 
@@ -271,7 +273,11 @@ def forecast(
     horizon: int,
     guard_factor: float = 1e6,
 ) -> TimeSeries:
-    """Autoregressive rollout: predict, slide each channel block, repeat.
+    """Autoregressive rollout: transform the newest window, append its prediction.
+
+    One buffer holds the seed window's L samples, then one predicted row per
+    step. Step s (0-based) transforms the window of buffer rows s .. s + L - 1,
+    laid out by the package's window rule, and writes row s + L.
 
     Parameters
     ----------
@@ -292,26 +298,22 @@ def forecast(
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if not guard_factor > 0:
         raise ValueError(f"guard_factor must be > 0, got {guard_factor}")
-    window = np.asarray(seed_window, dtype=float).ravel().copy()
-    nL = model.n * model.L
-    if window.size != nL:
+    window = np.asarray(seed_window, dtype=float).ravel()
+    n, L = model.n, model.L
+    if window.size != n * L:
         raise DimensionMismatchError(
-            f"seed window has {window.size} entries, expected {nL}"
+            f"seed window has {window.size} entries, expected {n * L}"
         )
     guard = _rollout_guard(model, guard_factor)
-    blocks = window.reshape(model.n, model.L)  # view: one row per channel block
-    out = np.empty((horizon, model.n))
-    # transform's product, without its per-step checks and selector rebuild.
-    W_hat, p, selected = model.W_hat, model.p, model.selector_indices
-    for step in range(1, horizon + 1):
-        y_sel = (W_hat @ monomial_features(window, p))[selected]
+    samples = np.empty((L + horizon, n))
+    samples[:L] = window.reshape(n, L).T
+    for s in range(horizon):
+        _, y_sel = transform(model, samples[s : s + L].T)
         worst = float(np.max(np.abs(y_sel)))
         if not np.isfinite(worst) or worst > guard:
-            raise NumericBlowupError(step=step, value=worst, guard=guard)
-        out[step - 1] = y_sel
-        blocks[:, :-1] = blocks[:, 1:]
-        blocks[:, -1] = y_sel
-    return TimeSeries(out)
+            raise NumericBlowupError(step=s + 1, value=worst, guard=guard)
+        samples[s + L] = y_sel
+    return TimeSeries(samples[L:])
 
 
 def save_model(model: RRCModel, path: str | Path) -> None:

@@ -119,12 +119,17 @@ def _fit(
     eval_range: str,
 ) -> tuple[RemittanceModel, ExposureReport]:
     n_train = _train_rows(panel.quarters, train_fraction)
+    if eval_range not in ("all", "holdout"):
+        raise ValueError(f"eval_range must be 'all' or 'holdout', got {eval_range!r}")
     eval_start = 0 if kind == "nonlagged" else 1
     features = _features(panel, kind)
     targets = panel.D[eval_start:]
     train = slice(0, n_train - eval_start)
     if train.stop < 1:
         raise ValueError("training range is empty at this train_fraction")
+    cut = train.stop if eval_range == "holdout" else 0  # first evaluated row
+    if cut >= targets.shape[0]:
+        raise ValueError("no held-out quarters at this train_fraction")
 
     solution = sparse_lstsq(features[train], targets[train], solver)
     M = solution.X.T
@@ -137,25 +142,10 @@ def _fit(
         nnz=int(np.count_nonzero(M)),
         residual_fro=residual,
     )
-
-    if eval_range == "all":
-        fitted = fitted_all
-        observed = targets
-        report_start = eval_start
-    elif eval_range == "holdout":
-        cut = max(n_train - eval_start, 0)
-        if cut >= fitted_all.shape[0]:
-            raise ValueError("no held-out quarters at this train_fraction")
-        fitted = fitted_all[cut:]
-        observed = targets[cut:]
-        report_start = n_train
-    else:
-        raise ValueError(f"eval_range must be 'all' or 'holdout', got {eval_range!r}")
-
     report = ExposureReport(
-        exposures=exposure(observed, fitted),
-        fitted=fitted,
-        eval_start=report_start,
+        exposures=exposure(targets[cut:], fitted_all[cut:]),
+        fitted=fitted_all[cut:],
+        eval_start=eval_start + cut,
     )
     return model, report
 

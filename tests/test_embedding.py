@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import rrckit as rk
 from rrckit import embedding
 from rrckit.errors import DimensionMismatchError, FeatureBudgetError, OutOfRangeError
-from testutil import autocorrelation, kron_power
+from testutil import autocorrelation, kron_power, window_matrix_per_slot
 
 
 class TestTimeSeries:
@@ -75,6 +78,36 @@ class TestDelayEmbed:
                     cur[j * L : j * L + L - 1], prev[j * L + 1 : (j + 1) * L]
                 )
                 assert cur[(j + 1) * L - 1] == ts.values[t, j]
+
+
+@st.composite
+def windowed_series(draw):
+    """(values, L): a (T, n) float array with T >= L, C- or Fortran-ordered."""
+    L, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    T = draw(st.integers(L, L + 8))
+    values = draw(hnp.arrays(float, (T, n), elements=st.floats(allow_nan=False,
+                                                                 allow_infinity=False)))
+    return (np.asfortranarray(values) if draw(st.booleans()) else values), L
+
+
+class TestWindowMatrix:
+    """Every window is one read of L consecutive sample rows."""
+
+    @given(windowed_series())
+    @example((np.arange(3.0)[:, None], 3))          # n = 1, T = L: one window
+    @example((np.arange(7.0)[:, None], 2))          # n = 1
+    @example((np.arange(12.0).reshape(4, 3), 4))    # T = L
+    def test_one_strided_copy_of_the_per_slot_rows(self, case):
+        values, L = case
+        result = embedding._window_matrix(values, L)
+        expected = window_matrix_per_slot(values, L)
+        assert result.shape == expected.shape
+        assert result.tobytes() == expected.tobytes()
+        assert result.flags.c_contiguous
+        assert not np.shares_memory(result, values)
+        series = rk.TimeSeries(values)
+        for k in range(result.shape[1]):
+            assert result[:, k].tobytes() == rk.delay_embed(series, L, k + L).tobytes()
 
 
 def kron_block(x, p: int, q: int) -> np.ndarray:

@@ -567,18 +567,29 @@ class TestDeterminism:
 
     def test_p2_coupling_independent_of_blas_threads(self, tmp_path):
         # The README's chaotic L=3, p=2 model: its file and train's report are
-        # byte-identical at one and two OpenBLAS threads. Its residual norms
-        # used to take a BLAS dot product, whose last digits moved.
+        # byte-identical at one and two OpenBLAS threads, and so are a
+        # 1000-step forecast --truth from its training split and its report.
+        # Its residual norms used to take a BLAS dot product, whose last
+        # digits moved.
         orbit = tmp_path / "chaotic.csv"
         assert run_cli("simulate", "--regime", "chaotic", "--out", str(orbit)) == 0
-        out = tmp_path / "model.json"
+        lines = orbit.read_text(encoding="utf-8").splitlines(keepends=True)
+        seed, truth = tmp_path / "seed.csv", tmp_path / "truth.csv"
+        seed.write_text("".join(lines[:6001]), encoding="utf-8")
+        truth.write_text(lines[0] + "".join(lines[6001:7001]), encoding="utf-8")
+        out, predicted = tmp_path / "model.json", tmp_path / "forecast.csv"
         runs = []
         for threads in ("1", "2"):
-            proc = run_cli_process("train", "--input", str(orbit), "--lag", "3",
-                                   "--order", "2", "--train-frac", "0.5",
-                                   "--out", str(out), OPENBLAS_NUM_THREADS=threads)
-            assert proc.returncode == 0, proc.stderr
-            runs.append((out.read_bytes(), proc.stdout))
+            train = run_cli_process("train", "--input", str(orbit), "--lag", "3",
+                                    "--order", "2", "--train-frac", "0.5",
+                                    "--out", str(out), OPENBLAS_NUM_THREADS=threads)
+            assert train.returncode == 0, train.stderr
+            fc = run_cli_process("forecast", "--model", str(out), "--seed-data", str(seed),
+                                 "--horizon", "1000", "--truth", str(truth),
+                                 "--out", str(predicted), OPENBLAS_NUM_THREADS=threads)
+            assert fc.returncode == 0, fc.stderr
+            runs.append((out.read_bytes(), train.stdout,
+                         predicted.read_bytes(), fc.stdout))
         assert runs[0] == runs[1]
 
     def test_train_and_forecast_bytes_identical(self, orbit_csv, tmp_path):

@@ -161,6 +161,18 @@ class TestDistinctMonomialPath:
         with pytest.raises(ValueError):
             self.fit(orbit, seed=-1)
 
+    def test_negative_seed_builds_no_feature(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("features built before the seed was checked")
+
+        monkeypatch.setattr(rk.model, "monomial_features", forbidden)
+        x = rk.TimeSeries(bounded_orbit(np.random.default_rng(61), 3, 80))
+        cfg, solver = rk.EmbeddingConfig(L=2, p=3), rk.SolverConfig(delta=1e-8)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            rk.train_autoregressive(x, cfg, solver, seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            rk.train_rrc(x, x, cfg, solver, seed=-1)
+
 
 @functools.lru_cache(maxsize=None)
 def _largest_finite_base(p):
@@ -402,29 +414,35 @@ def readme_p2_model(chaotic_orbit):
 def test_readme_p2_model_held_out_rollouts(chaotic_orbit, readme_p2_model):
     """The README's chaotic p=2 model rolls out from held-out windows.
 
-    The 40 held-out windows, 1000 steps each; a rollout counts when the guard
-    stays silent and it stays within twice the training range (criterion
-    7(b)'s rule). The floor is today's count: most windows still diverge.
+    The 40 held-out windows, 1000 steps each. A rollout is bounded when the
+    guard stays silent and it stays within twice the training range
+    (criterion 7(b)'s rule). It is tracked when every channel stays within
+    0.1 of that channel's training range of the true orbit for all 1000
+    steps; a guard trip counts as neither. The floors are today's counts:
+    most windows still diverge.
     """
     series, model = chaotic_orbit, readme_p2_model
     train = series.values[:6000]
     lo, hi = train.min(axis=0), train.max(axis=0)
     center, half = (lo + hi) / 2, (hi - lo) / 2
-    completed = 0
+    bounded = tracked = 0
     for end in HELD_OUT_ENDS:
         window = rk.delay_embed(series, model.L, int(end))
         try:
             rollout = rk.forecast(model, window, 1000)
         except NumericBlowupError:
             continue
-        completed += bool(np.all(np.abs(rollout.values - center) <= 2 * half))
-    assert completed >= 3
+        bounded += bool(np.all(np.abs(rollout.values - center) <= 2 * half))
+        truth = series.values[end : end + 1000]
+        tracked += bool(np.all(np.abs(rollout.values - truth) <= 0.1 * (hi - lo)))
+    assert bounded >= 3
+    assert tracked >= 3
 
 
 def test_forecast_rows_equal_iterated_transform(chaotic_orbit, readme_p2_model):
-    """forecast evaluates transform's product inline. 200 steps from three
-    held-out windows match iterated transform bit for bit; the first two
-    held-out windows diverge before step 200."""
+    """200 steps of forecast from three held-out windows match iterated
+    transform bit for bit; the first two held-out windows diverge before
+    step 200."""
     model = readme_p2_model
     for end in HELD_OUT_ENDS[2:5]:
         window = rk.delay_embed(chaotic_orbit, model.L, int(end))
@@ -433,6 +451,25 @@ def test_forecast_rows_equal_iterated_transform(chaotic_orbit, readme_p2_model):
             # The dilated output is the next window: its shift rows are exact.
             window, selected = rk.transform(model, window)
             assert row.tobytes() == selected.tobytes()
+
+
+def test_forecast_transforms_the_windows_of_its_sample_buffer(
+        chaotic_orbit, readme_p2_model, monkeypatch):
+    """Step k transforms the window of the seed samples followed by the k
+    rows predicted so far, as delay_embed lays it out."""
+    model, end = readme_p2_model, int(HELD_OUT_ENDS[2])
+    windows, real_transform = [], rk.model.transform
+
+    def recording(model, window):
+        windows.append(np.asarray(window, dtype=float).ravel().copy())
+        return real_transform(model, window)
+
+    monkeypatch.setattr(rk.model, "transform", recording)
+    rollout = rk.forecast(model, rk.delay_embed(chaotic_orbit, model.L, end), 200).values
+    samples = rk.TimeSeries(np.vstack([chaotic_orbit.values[end - model.L : end], rollout]))
+    assert len(windows) == 200
+    for k, window in enumerate(windows):
+        assert window.tobytes() == rk.delay_embed(samples, model.L, model.L + k).tobytes()
 
 
 class TestSelector:

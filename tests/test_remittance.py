@@ -192,6 +192,24 @@ class TestTrainFraction:
         assert report.fitted.shape == (20 - n_train, 5)
 
 
+    @pytest.mark.parametrize("fit", [rk.fit_nonlagged, rk.fit_lagged])
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"eval_range": "train"},
+                     "eval_range must be 'all' or 'holdout', got 'train'", id="unknown-range"),
+        pytest.param({"eval_range": "holdout", "train_fraction": 1.0},
+                     "no held-out quarters at this train_fraction", id="empty-holdout"),
+    ])
+    def test_evaluation_range_checked_before_the_solve(self, monkeypatch, fit, kwargs,
+                                                       message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("panel solved before its evaluation range was checked")
+
+        monkeypatch.setattr(rk.remittance, "sparse_lstsq", forbidden)
+        panel, _ = rk.synth_panel(8, 5, 20, seed=70, noise_level=0.1)
+        with pytest.raises(ValueError, match=message):
+            fit(panel, SOLVER, **kwargs)
+
+
 class TestSynthPanel:
     def test_shapes_match_domain(self):
         panel, planted = rk.synth_panel(18, 15, 24, seed=71)

@@ -71,6 +71,18 @@ def bounded_orbit(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
     return np.array(out)
 
 
+def window_matrix_per_slot(values: np.ndarray, L: int) -> np.ndarray:
+    """Oracle for ``embedding._window_matrix``: each of the nL window rows is
+    copied on its own, row j * L + lag holding channel j at that lag."""
+    T, n = values.shape
+    cols = T - L + 1
+    out = np.empty((n * L, cols))
+    for j in range(n):
+        for lag in range(L):
+            out[j * L + lag, :] = values[lag : lag + cols, j]
+    return out
+
+
 def kron_power(x: np.ndarray, p: int) -> np.ndarray:
     """Oracle: the p-fold Kronecker power of a vector, length len(x)**p.
 
