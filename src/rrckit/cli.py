@@ -32,7 +32,6 @@ from .linalg import SolverConfig
 from .model import forecast, load_model, save_model, train_autoregressive, train_rrc
 from .remittance import (
     RemittancePanel,
-    _train_rows,
     exposure as exposure_measure,
     fit_lagged,
     fit_nonlagged,
@@ -235,11 +234,8 @@ def cmd_exposure(args) -> int:
             panel, solver, train_fraction=args.train_frac, eval_range=args.eval_range
         )
     except DegenerateChannelError as exc:
-        # The held-out quarters, or all the fit predicts: the lagged fit skips the first.
-        first = 1 + (_train_rows(panel.quarters, args.train_frac)
-                     if args.eval_range == "holdout" else int(args.lagged))
         raise RRCError(f"deposits channel {deposits.labels[exc.channel]} is zero in all of its "
-                       f"evaluated quarters, {first} to {panel.quarters}") from exc
+                       f"evaluated quarters, {exc.first} to {panel.quarters}") from exc
 
     ranking = rank_exposures(report, k=panel.institutions)
     rank_of = {inst: pos + 1 for pos, (inst, _) in enumerate(ranking)}
@@ -251,12 +247,8 @@ def cmd_exposure(args) -> int:
     adjacency_path = args.adjacency_out or str(
         Path(args.out).with_name(Path(args.out).stem + "_adjacency.csv")
     )
-    terms = [f"r{k+1}" for k in range(panel.regions)]
-    if model.kind == "lagged":
-        terms += [f"r{k+1}[t-1]" for k in range(panel.regions)]
-    terms.append("bias")
     adjacency_rows = [
-        [int(i) + 1, terms[int(j)], float(model.M[i, j])]
+        [int(i) + 1, model.terms[int(j)], float(model.M[i, j])]
         for i, j in zip(*np.nonzero(model.M))
     ]
 

@@ -11,8 +11,10 @@ uses those values, and the Kronecker features are a gather of them.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -117,12 +119,17 @@ def feature_dim(m: int, p: int) -> int:
     return p + 1 if m == 1 else (m ** (p + 1) - m) // (m - 1) + 1
 
 
-def _check_budget(entries: int) -> None:
-    if entries > DEFAULT_FEATURE_BUDGET:
-        raise FeatureBudgetError(
-            f"expansion needs {entries} entries, exceeding the budget of "
-            f"{DEFAULT_FEATURE_BUDGET}"
-        )
+def _check_budget(counts: Iterable[int], windows: int = 1) -> None:
+    """Raise FeatureBudgetError if ``windows`` times the last of ``counts``, which rise
+    to a window's entry count, exceeds the budget; the first count over decides."""
+    budget = DEFAULT_FEATURE_BUDGET
+    if windows and any(count * windows > budget for count in counts):
+        raise FeatureBudgetError(f"expansion needs more than the budget of {budget} entries")
+
+
+def _slot_counts(m: int, p: int) -> Iterable[int]:
+    """Partial sums of 1 + m + ... + m^p, rising to d_p(m), at least doubling if m > 1."""
+    return [p + 1] if m == 1 else accumulate(m**k for k in range(p + 1))
 
 
 def eth_map(x: np.ndarray, p: int) -> np.ndarray:
@@ -172,7 +179,9 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
         raise ValueError(f"p must be >= 1, got {p}")
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
-    _check_budget(math.comb(m + p, p) * math.prod(X.shape[1:]))
+    k = min(m, p)  # C(m + p - k + i, i), i = 0..k, rise at least twofold to C(m + p, p)
+    _check_budget(accumulate(range(1, k + 1), lambda c, i: c * (m + p - k + i) // i,
+                             initial=1), math.prod(X.shape[1:]))
     parts = [X]
     for q in range(2, p + 1):
         prefix, last = _prefix_tables(m, q)
@@ -188,7 +197,7 @@ def _monomial_of_slot(m: int, p: int) -> np.ndarray:
     order's, whose lexicographic order is :func:`_prefix_tables`' order.
     Raises FeatureBudgetError if d_p(m) exceeds ``DEFAULT_FEATURE_BUDGET``.
     """
-    _check_budget(feature_dim(m, p))
+    _check_budget(_slot_counts(m, p))
     parts, offset = [], 0
     for q in range(1, p + 1):
         idx = np.indices((m,) * q).reshape(q, -1).T
@@ -271,7 +280,7 @@ def build_data_matrices(x: TimeSeries, y: TimeSeries, cfg: EmbeddingConfig) -> D
     """
     Xw, H1 = paired_windows(x, y, cfg.L)  # (m, cols) each
     m, cols = Xw.shape
-    _check_budget(feature_dim(m, cfg.p) * cols)
+    _check_budget(_slot_counts(m, cfg.p), cols)
     H0 = monomial_features(Xw, cfg.p)[_monomial_of_slot(m, cfg.p)]
     return DataMatrices(H0=H0, H1=H1)
 

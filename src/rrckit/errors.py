@@ -53,8 +53,9 @@ class StepUnderflowError(RRCError):
 class DegenerateChannelError(RRCError):
     """An observed channel is identically zero, so its exposure normalizer vanishes."""
 
-    def __init__(self, channel: int):
+    def __init__(self, channel: int, first: int = 1):
         self.channel = channel
+        self.first = first  # 1-based row of the first compared sample
         super().__init__(f"observed channel column {channel + 1} is identically zero")
 
 

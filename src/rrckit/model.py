@@ -65,11 +65,6 @@ class TrainingDiagnostics:
     seed: int
 
 
-def _newest_slots(n: int, L: int) -> np.ndarray:
-    """0-based index of each channel block's newest slot in an nL window."""
-    return np.arange(n) * L + (L - 1)
-
-
 @dataclass(eq=False)
 class RRCModel:
     """A trained model: embedding parameters, compression, output coupling.
@@ -109,8 +104,8 @@ class RRCModel:
 
     @property
     def selector_indices(self) -> np.ndarray:
-        """0-based window-slot index selected for each channel: its newest."""
-        return _newest_slots(self.n, self.L)
+        """0-based window-slot index selected for each channel: its newest, every L-th."""
+        return np.arange(self.L - 1, self.n * self.L, self.L)
 
 
 def train_rrc(
@@ -145,7 +140,7 @@ def train_rrc(
     Xw, H1 = paired_windows(x, y, cfg.L)  # (nL, cols) each
     G = _finite_features(Xw, x, cfg.p)    # (rho, cols)
     W_hat = np.zeros((H1.shape[0], G.shape[0]))
-    return _fit(x.values, G, H1, W_hat, np.arange(H1.shape[0]), cfg, solver, seed)
+    return _fit(x.values, G, H1, W_hat, slice(None), cfg, solver, seed)
 
 
 def train_autoregressive(
@@ -156,11 +151,11 @@ def train_autoregressive(
 ) -> RRCModel:
     """Train on one-step-ahead targets: pair each sample with its successor.
 
-    Only the newest slot of each channel block carries a new sample. Every
-    other target row is the next input slot, so its row of W_hat is written
-    exactly, a single 1.0 on that slot's linear monomial (the linear
-    monomials come first, in slot order), and the solver fits the n newest
-    rows alone.
+    Only the newest slot of each channel block, every L-th row from row L - 1,
+    carries a new sample. Every other target row is the next input slot, so
+    its row of W_hat is written exactly, a single 1.0 on that slot's linear
+    monomial (the linear monomials come first, in slot order), and the solver
+    fits the n newest rows alone.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -175,7 +170,7 @@ def train_autoregressive(
     # Row i copies slot i + 1: a 1.0 on its linear monomial, G's row i + 1.
     # The newest rows' entries are overwritten by the fit.
     W_hat = np.eye(H1.shape[0], G.shape[0], k=1)
-    return _fit(x.values[:-1], G, H1, W_hat, _newest_slots(x.n, cfg.L), cfg, solver, seed)
+    return _fit(x.values[:-1], G, H1, W_hat, slice(cfg.L - 1, None, cfg.L), cfg, solver, seed)
 
 
 def _finite_features(windows: np.ndarray, x: TimeSeries, p: int) -> np.ndarray:
@@ -201,7 +196,7 @@ def _fit(
     G: np.ndarray,
     H1: np.ndarray,
     W_hat: np.ndarray,
-    rows: np.ndarray,
+    rows: slice,
     cfg: EmbeddingConfig,
     solver: SolverConfig,
     seed: int,
@@ -255,16 +250,17 @@ def transform(model: RRCModel, window: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if window.size != nL:
         raise DimensionMismatchError(f"window has {window.size} entries, expected {nL}")
     y_dilated = model.W_hat @ monomial_features(window, model.p)
-    return y_dilated, y_dilated[model.selector_indices]
+    return y_dilated, y_dilated[model.L - 1 :: model.L]
 
 
-def _rollout_guard(model: RRCModel, guard_factor: float) -> float:
+def _rollout_guard(model: RRCModel, guard_factor: float) -> tuple[np.ndarray, float]:
+    """Each channel's training centre, and guard_factor times the widest training range."""
     lo = np.asarray(model.diagnostics.train_min)
     hi = np.asarray(model.diagnostics.train_max)
     scale = float(np.max(hi - lo))
     if scale <= 0.0:
         scale = max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
-    return guard_factor * scale
+    return lo / 2 + hi / 2, guard_factor * scale
 
 
 def forecast(
@@ -286,8 +282,11 @@ def forecast(
     horizon : int
         Number of steps to simulate.
     guard_factor : float
-        Divergence guard, > 0; a predicted entry whose magnitude exceeds
-        guard_factor times the training data range aborts the rollout.
+        Divergence guard, > 0; a predicted entry farther from the centre of its
+        channel's training range, (train_min + train_max) / 2, than
+        guard_factor times the widest channel range aborts the rollout. When
+        every range is 0, the largest training magnitude, at least 1, takes
+        the range's place.
 
     Raises
     ------
@@ -304,12 +303,12 @@ def forecast(
         raise DimensionMismatchError(
             f"seed window has {window.size} entries, expected {n * L}"
         )
-    guard = _rollout_guard(model, guard_factor)
+    centre, guard = _rollout_guard(model, guard_factor)
     samples = np.empty((L + horizon, n))
     samples[:L] = window.reshape(n, L).T
     for s in range(horizon):
         _, y_sel = transform(model, samples[s : s + L].T)
-        worst = float(np.max(np.abs(y_sel)))
+        worst = float(np.max(np.abs(y_sel - centre)))
         if not np.isfinite(worst) or worst > guard:
             raise NumericBlowupError(step=s + 1, value=worst, guard=guard)
         samples[s + L] = y_sel
@@ -357,7 +356,7 @@ def load_model(path: str | Path) -> RRCModel:
         doc = json.loads(
             Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant
         )
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError among them
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; nesting too deep
         raise ModelFormatError(f"not a model file: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != _FORMAT_MARKER:
         raise ModelFormatError("missing or wrong format marker")

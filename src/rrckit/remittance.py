@@ -72,9 +72,9 @@ class RemittancePanel:
 class RemittanceModel:
     """Linear sparse map from remittance features to institution deposits.
 
-    ``M`` has one row per institution. Feature layout: current-quarter
-    inflows, then (lagged kind only) previous-quarter inflows, then a
-    constant-1 bias absorbing the uncertainty offset.
+    ``M`` has one row per institution and one column per name in ``terms``:
+    current-quarter inflows, then (lagged kind only) previous-quarter inflows,
+    then a constant-1 bias absorbing the uncertainty offset.
     """
 
     kind: str                      # "nonlagged" | "lagged"
@@ -82,6 +82,7 @@ class RemittanceModel:
     rank: int
     nnz: int
     residual_fro: float
+    terms: list[str]               # feature names, one per column of M
 
 
 @dataclass
@@ -103,28 +104,24 @@ def _train_rows(quarters: int, train_fraction: float) -> int:
     return min(quarters, math.ceil(train_fraction * quarters))
 
 
-def _features(panel: RemittancePanel, kind: str) -> np.ndarray:
-    """Feature rows per evaluable quarter (bias column last)."""
-    q = panel.quarters
-    if kind == "nonlagged":
-        return np.hstack([panel.R, np.ones((q, 1))])
-    return np.hstack([panel.R[1:], panel.R[:-1], np.ones((q - 1, 1))])
-
-
 def _fit(
     panel: RemittancePanel,
     solver: SolverConfig,
-    kind: str,
+    lags: int,
     train_fraction: float,
     eval_range: str,
 ) -> tuple[RemittanceModel, ExposureReport]:
-    n_train = _train_rows(panel.quarters, train_fraction)
+    """Fit deposits on a bias and the inflows of this and ``lags`` (0 or 1) past quarters."""
+    q = panel.quarters
+    if q < lags + 2:
+        raise ValueError(f"need at least {lags + 2} quarters, got {q}")
+    n_train = _train_rows(q, train_fraction)
     if eval_range not in ("all", "holdout"):
         raise ValueError(f"eval_range must be 'all' or 'holdout', got {eval_range!r}")
-    eval_start = 0 if kind == "nonlagged" else 1
-    features = _features(panel, kind)
-    targets = panel.D[eval_start:]
-    train = slice(0, n_train - eval_start)
+    features = np.hstack([panel.R[lags - k : q - k] for k in range(lags + 1)]
+                         + [np.ones((q - lags, 1))])
+    targets = panel.D[lags:]
+    train = slice(0, n_train - lags)
     if train.stop < 1:
         raise ValueError("training range is empty at this train_fraction")
     cut = train.stop if eval_range == "holdout" else 0  # first evaluated row
@@ -134,19 +131,22 @@ def _fit(
     solution = sparse_lstsq(features[train], targets[train], solver)
     M = solution.X.T
     fitted_all = features @ solution.X
+    try:
+        exposures = exposure(targets[cut:], fitted_all[cut:])
+    except DegenerateChannelError as exc:
+        raise DegenerateChannelError(exc.channel, first=lags + cut + 1) from None
     residual = float(_column_norms((fitted_all[train] - targets[train]).ravel()))
     model = RemittanceModel(
-        kind=kind,
+        kind=("nonlagged", "lagged")[lags],
         M=M,
         rank=solution.rank,
         nnz=int(np.count_nonzero(M)),
         residual_fro=residual,
+        terms=[f"r{j + 1}" + (f"[t-{k}]" if k else "")
+               for k in range(lags + 1) for j in range(panel.regions)] + ["bias"],
     )
-    report = ExposureReport(
-        exposures=exposure(targets[cut:], fitted_all[cut:]),
-        fitted=fitted_all[cut:],
-        eval_start=eval_start + cut,
-    )
+    report = ExposureReport(exposures=exposures, fitted=fitted_all[cut:],
+                            eval_start=lags + cut)
     return model, report
 
 
@@ -162,9 +162,7 @@ def fit_nonlagged(
     single product matrix; predictions and exposures only ever see the
     product.
     """
-    if panel.quarters < 2:
-        raise ValueError(f"need at least 2 quarters, got {panel.quarters}")
-    return _fit(panel, solver, "nonlagged", train_fraction, eval_range)
+    return _fit(panel, solver, 0, train_fraction, eval_range)
 
 
 def fit_lagged(
@@ -174,9 +172,7 @@ def fit_lagged(
     eval_range: str = "all",
 ) -> tuple[RemittanceModel, ExposureReport]:
     """Fit deposits on stacked current and one-quarter-lagged inflows."""
-    if panel.quarters < 3:
-        raise ValueError(f"need at least 3 quarters, got {panel.quarters}")
-    return _fit(panel, solver, "lagged", train_fraction, eval_range)
+    return _fit(panel, solver, 1, train_fraction, eval_range)
 
 
 def exposure(observed: np.ndarray, fitted: np.ndarray) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rrckit as rk
-from rrckit.errors import DimensionMismatchError, GroupingDegenerateError
+from rrckit.errors import DimensionMismatchError, FeatureBudgetError, GroupingDegenerateError
 from testutil import compression_probe, greedy_compression_matrix
 
 CONFIGS = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (1, 3, 2)]
@@ -191,3 +191,11 @@ class TestDistinctMonomialOracle:
             for seed in (0, 7, 42):
                 R = rk.compression_matrix(n, L, p, seed=seed)
                 assert np.array_equal(G, rk.compress(R, data.H0))
+
+
+@pytest.mark.parametrize("n, L, p", [(3, 3, 100_000), (1, 3, 3_000_000)])
+def test_huge_order_is_refused_by_the_budget(n, L, p):
+    # d_p(nL) here has 95 000 and 1.4 million digits, too many to print. Neither
+    # is formed: the slot count's partial sums pass the budget by order 15.
+    with pytest.raises(FeatureBudgetError, match="more than the budget"):
+        rk.compression_matrix_exact(n, L, p)

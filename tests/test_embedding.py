@@ -285,6 +285,30 @@ class TestBuildDataMatrices:
         with pytest.raises(FeatureBudgetError):
             rk.build_data_matrices(x, x, rk.EmbeddingConfig(L=10, p=3))
 
+    @pytest.mark.parametrize("n, L, p", [(1, 1, 3), (1, 3, 2), (2, 2, 3)])
+    def test_budget_edge_is_exact(self, monkeypatch, n, L, p):
+        # d_p(nL) slots for each of the T - L + 1 windows: the budget may equal it.
+        x = rk.TimeSeries(np.ones((9, n)))
+        entries = rk.feature_dim(n * L, p) * (9 - L + 1)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", entries)
+        cfg = rk.EmbeddingConfig(L=L, p=p)
+        assert rk.build_data_matrices(x, x, cfg).H0.size == entries
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", entries - 1)
+        with pytest.raises(FeatureBudgetError):
+            rk.build_data_matrices(x, x, cfg)
+
+    def test_budget_error_names_no_huge_count(self):
+        # d_5000(3) has about 2400 digits; the message names the budget instead.
+        x = rk.TimeSeries(np.ones(10))
+        with pytest.raises(FeatureBudgetError) as err:
+            rk.build_data_matrices(x, x, rk.EmbeddingConfig(L=3, p=5000))
+        assert str(err.value) == "expansion needs more than the budget of 10000000 entries"
+
+    def test_series_shorter_than_the_window(self):
+        x = rk.TimeSeries(np.arange(2.0))
+        with pytest.raises(OutOfRangeError, match="series of length 2 too short for L = 3"):
+            embedding.paired_windows(x, x, 3)
+
 
 def full_range_lag(x):
     """Oracle: the first 1/e crossing of the autocorrelation over every lag up

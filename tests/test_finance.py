@@ -67,6 +67,24 @@ class TestIntegrator:
         with pytest.raises(StepUnderflowError):
             integrate_ode(lambda t, y: [v * v for v in y], np.array([1.0]), grid)
 
+    def test_zero_initial_derivative(self, monkeypatch):
+        # y' = t is 0 at t = 0, so the first step is t_end / 1000, not one scaled
+        # by the derivative. The embedded pair and the cubic interpolant are
+        # exact on y = 1 + t^2 / 2.
+        steps = []
+
+        def recording(rhs, t, y, h, f):
+            steps.append(h)
+            return rk_step(rhs, t, y, h, f)
+
+        rk_step = finance._rk_step
+        monkeypatch.setattr(finance, "_rk_step", recording)
+        grid = rk.SimulationGrid(t_end=2.0, samples=21)
+        vals = integrate_ode(lambda t, y: [t], [1.0], grid)
+        assert steps[0] == 2.0 / 1000
+        np.testing.assert_allclose(vals[:, 0], 1 + uniform_grid(2.0, 21) ** 2 / 2,
+                                   rtol=0, atol=1e-12)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             rk.SimulationGrid(t_end=0.0, samples=10)

@@ -79,6 +79,17 @@ class TestCsvRoundTrip:
             read_timeseries_csv(path)
         assert str(info.value).startswith(f"{path}:3: 'utf-8' codec can't decode byte 0xff")
 
+    def test_non_utf8_byte_past_the_first_decode_block(self, tmp_path):
+        # The header read decodes the first block; this byte is decoded later,
+        # inside the table parse, and still named by its line.
+        path = tmp_path / "late.csv"
+        rows = [b"t,x\r\n"] + [b"%d,%d.5\r\n" % (k, k) for k in range(5000)]
+        rows[4001] = b"4000,\xff\r\n"
+        path.write_bytes(b"".join(rows))
+        with pytest.raises(ValueError) as info:
+            read_timeseries_csv(path)
+        assert str(info.value).startswith(f"{path}:4002: 'utf-8' codec can't decode byte 0xff")
+
     def test_error_line_counts_skipped_blank_lines(self, tmp_path):
         path = tmp_path / "gappy.csv"
         path.write_text("t,x\n0,1\n\n1,2\n2,inf\n")
@@ -299,6 +310,16 @@ class TestTrain:
         assert "600x3" in err and f"{rows}x{channels}" in err
         assert not model_path.exists()
 
+    def test_target_split_shorter_than_lag_is_usage_error(self, orbit_csv, tmp_path, capsys):
+        # --train-frac 0.005 keeps int(0.005 * 600) = 3 rows, fewer than the lag of 4.
+        model_path = tmp_path / "m.json"
+        code = run_cli("train", "--input", str(orbit_csv), "--target", str(orbit_csv),
+                       "--lag", "4", "--train-frac", "0.005", "--out", str(model_path))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: training split of 3 rows too short for lag 4\n")
+        assert not model_path.exists()
+
     def test_paired_target(self, orbit_csv, tmp_path):
         target = tmp_path / "target.csv"
         data = read_timeseries_csv(orbit_csv)
@@ -327,6 +348,20 @@ class TestForecast:
         window = rk.delay_embed(data, model.L, data.T)
         _, y_sel = rk.transform(model, window)
         assert np.array_equal(predicted, y_sel)
+
+    def test_uneven_seed_times_count_steps_from_one(self, trained, orbit_csv, tmp_path):
+        # A seed file whose times are not evenly spaced has no time step, so the
+        # forecast's time column counts the steps.
+        data = read_timeseries_csv(orbit_csv)
+        seed = tmp_path / "uneven.csv"
+        times = np.arange(10.0) ** 2
+        write_timeseries_csv(seed, rk.TimeSeries(data.values[:10], times=times))
+        out = tmp_path / "fc.csv"
+        assert run_cli("forecast", "--model", str(trained), "--seed-data", str(seed),
+                       "--horizon", "4", "--out", str(out)) == 0
+        predicted = read_timeseries_csv(out)
+        np.testing.assert_array_equal(predicted.times, [1.0, 2.0, 3.0, 4.0])
+        assert predicted.dt == 1.0
 
     def test_zero_horizon_rejected(self, trained, orbit_csv, tmp_path):
         assert run_cli("forecast", "--model", str(trained), "--seed-data",
@@ -591,6 +626,32 @@ class TestDeterminism:
             runs.append((out.read_bytes(), train.stdout,
                          predicted.read_bytes(), fc.stdout))
         assert runs[0] == runs[1]
+
+    def test_noisy_p2_fit_independent_of_blas_threads(self, tmp_path):
+        # The README's p=2 fit of the noisy orbit (sigma 1e-4, noise seed 7) that
+        # test_model's noisy held-out test rolls out: its W_hat and a 1000-step
+        # rollout from a held-out window are byte-identical at 1 and 2 threads.
+        script = (
+            "import hashlib, numpy as np, rrckit as rk\n"
+            "from testutil import noisy_orbit\n"
+            "orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=120.0, samples=12000))\n"
+            "train = rk.TimeSeries(noisy_orbit(orbit.values[:6000], 1e-4, 7))\n"
+            "model = rk.train_autoregressive(train, rk.EmbeddingConfig(L=3, p=2),\n"
+            "    rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50))\n"
+            "rollout = rk.forecast(model, rk.delay_embed(orbit, 3, 8000), 1000)\n"
+            "print(hashlib.sha256(model.W_hat.tobytes() + rollout.values.tobytes()).hexdigest())\n"
+        )
+        paths = [str(Path(rk.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+        digests = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                     "PYTHONPATH": os.pathsep.join(paths)},
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
 
     def test_train_and_forecast_bytes_identical(self, orbit_csv, tmp_path):
         models, forecasts = [], []

@@ -29,6 +29,7 @@ from testutil import (
     bounded_orbit,
     dense_solvent,
     linear_orbit,
+    noisy_orbit,
     residual_certificate,
     stable_linear_system,
 )
@@ -411,17 +412,15 @@ def readme_p2_model(chaotic_orbit):
     )
 
 
-def test_readme_p2_model_held_out_rollouts(chaotic_orbit, readme_p2_model):
-    """The README's chaotic p=2 model rolls out from held-out windows.
+def held_out_counts(series, model):
+    """(bounded, tracked) over the 40 held-out windows of series, 1000 steps each.
 
-    The 40 held-out windows, 1000 steps each. A rollout is bounded when the
-    guard stays silent and it stays within twice the training range
-    (criterion 7(b)'s rule). It is tracked when every channel stays within
-    0.1 of that channel's training range of the true orbit for all 1000
-    steps; a guard trip counts as neither. The floors are today's counts:
-    most windows still diverge.
+    A rollout is bounded when the guard stays silent and it stays within
+    twice the training range of series' first 6000 samples (criterion 7(b)'s
+    rule). It is tracked when every channel stays within 0.1 of that
+    channel's training range of series for all 1000 steps; a guard trip
+    counts as neither.
     """
-    series, model = chaotic_orbit, readme_p2_model
     train = series.values[:6000]
     lo, hi = train.min(axis=0), train.max(axis=0)
     center, half = (lo + hi) / 2, (hi - lo) / 2
@@ -435,8 +434,34 @@ def test_readme_p2_model_held_out_rollouts(chaotic_orbit, readme_p2_model):
         bounded += bool(np.all(np.abs(rollout.values - center) <= 2 * half))
         truth = series.values[end : end + 1000]
         tracked += bool(np.all(np.abs(rollout.values - truth) <= 0.1 * (hi - lo)))
+    return bounded, tracked
+
+
+def test_readme_p2_model_held_out_rollouts(chaotic_orbit, readme_p2_model):
+    """The README's chaotic p=2 model rolls out from held-out windows. The
+    floors are today's counts: most windows still diverge."""
+    bounded, tracked = held_out_counts(chaotic_orbit, readme_p2_model)
     assert bounded >= 3
     assert tracked >= 3
+
+
+def test_noisy_p2_model_held_out_rollouts(chaotic_orbit):
+    """The README's p=2 fit of noisy observations tracks every held-out window.
+
+    Noise at 1e-4 of each channel's std (seed 7) is added to the 6000
+    training samples only. The rollouts start from clean held-out windows
+    and are scored against the clean orbit. The noise conditions the fit
+    (full rank 55) and acts as a regularizer, so all 40 rollouts stay
+    bounded and tracked, where the noise-free fit keeps 3.
+    """
+    train = rk.TimeSeries(noisy_orbit(chaotic_orbit.values[:6000], 1e-4, 7))
+    model = rk.train_autoregressive(
+        train, rk.EmbeddingConfig(L=3, p=2),
+        rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50), seed=42,
+    )
+    bounded, tracked = held_out_counts(chaotic_orbit, model)
+    assert bounded >= 40
+    assert tracked >= 40
 
 
 def test_forecast_rows_equal_iterated_transform(chaotic_orbit, readme_p2_model):
@@ -566,6 +591,28 @@ class TestForecast:
         model, _ = geometric_model()
         with pytest.raises(ValueError, match="guard_factor"):
             rk.forecast(model, np.array([1.0]), 5, guard_factor=guard_factor)
+
+
+    def test_seed_window_size_checked(self):
+        model, _ = geometric_model()
+        with pytest.raises(DimensionMismatchError, match="seed window has 2 entries, expected 1"):
+            rk.forecast(model, np.ones(2), 5)
+
+    def test_guard_measures_from_the_training_centre(self, chaotic_orbit):
+        """A p=1 model of the orbit shifted by 1e7 rolls out 200 steps from the
+        end of its training samples and stays within 5 of the shifted truth
+        (1.60 measured). Its predictions' magnitudes, about 1e7, exceed the
+        guard of 1e6 times the training range; their distances from the
+        training centre do not."""
+        shifted = chaotic_orbit.values + 1e7
+        train = rk.TimeSeries(shifted[:6000])
+        model = rk.train_autoregressive(
+            train, rk.EmbeddingConfig(L=3, p=1),
+            rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50), seed=0,
+        )
+        rollout = rk.forecast(model, rk.delay_embed(train, 3, 6000), 200).values
+        assert np.max(np.abs(rollout)) > 1e6 * np.ptp(shifted[:6000], axis=0).max()
+        assert np.max(np.abs(rollout - shifted[6000:6200])) <= 5.0
 
 
 class TestSparseVsDenseEstimate:
@@ -755,6 +802,25 @@ def test_defective_model_file_is_format_error(defect, tmp_path, capsys):
                  "--horizon", "5", "--out", str(tmp_path / "fc.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_file_is_format_error(tmp_path, capsys):
+    """100 000 nested arrays exceed the JSON reader's recursion limit; that is
+    a format error, with no traceback and no output file."""
+    _, orbit = TestPersistence().make_model()
+    path, seed, out = tmp_path / "model.json", tmp_path / "seed.csv", tmp_path / "fc.csv"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ModelFormatError, match="not a model file"):
+        rk.load_model(path)
+    write_timeseries_csv(seed, rk.TimeSeries(orbit))
+    capsys.readouterr()
+    code = main(["forecast", "--model", str(path), "--seed-data", str(seed),
+                 "--horizon", "5", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: not a model file:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_kronecker_slot_table_is_held_to_the_budget(monkeypatch):

@@ -192,6 +192,35 @@ class TestTrainFraction:
         assert report.fitted.shape == (20 - n_train, 5)
 
 
+    def test_empty_training_range(self):
+        # ceil(0.2 * 3) = 1 training quarter, which the lagged fit cannot predict.
+        panel = rk.RemittancePanel(R=np.ones((3, 2)), D=np.ones((3, 2)))
+        with pytest.raises(ValueError, match="training range is empty at this train_fraction"):
+            rk.fit_lagged(panel, SOLVER, train_fraction=0.2)
+
+    @pytest.mark.parametrize("fit, eval_range, first", [
+        (rk.fit_nonlagged, "all", 1), (rk.fit_lagged, "all", 2),
+        (rk.fit_nonlagged, "holdout", 16), (rk.fit_lagged, "holdout", 16),
+    ])
+    def test_zero_channel_names_the_first_evaluated_quarter(self, fit, eval_range, first):
+        panel, _ = rk.synth_panel(8, 5, 20, seed=70, noise_level=0.1)
+        D = panel.D.copy()
+        D[first - 1 :, 3] = 0.0
+        with pytest.raises(DegenerateChannelError) as err:
+            fit(rk.RemittancePanel(R=panel.R, D=D), SOLVER, train_fraction=0.75,
+                eval_range=eval_range)
+        assert (err.value.channel, err.value.first) == (3, first)
+
+    @pytest.mark.parametrize("fit, terms", [
+        (rk.fit_nonlagged, ["r1", "r2", "r3", "bias"]),
+        (rk.fit_lagged, ["r1", "r2", "r3", "r1[t-1]", "r2[t-1]", "r3[t-1]", "bias"]),
+    ])
+    def test_terms_name_the_columns(self, fit, terms):
+        panel, _ = rk.synth_panel(3, 4, 12, seed=72)
+        model, _ = fit(panel, SOLVER)
+        assert model.terms == terms
+        assert model.M.shape == (4, len(terms))
+
     @pytest.mark.parametrize("fit", [rk.fit_nonlagged, rk.fit_lagged])
     @pytest.mark.parametrize("kwargs, message", [
         pytest.param({"eval_range": "train"},

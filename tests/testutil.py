@@ -71,6 +71,14 @@ def bounded_orbit(rng: np.random.Generator, n: int, steps: int) -> np.ndarray:
     return np.array(out)
 
 
+def noisy_orbit(values: np.ndarray, sigma: float, seed: int) -> np.ndarray:
+    """Observations of an orbit: values plus seeded Gaussian noise whose
+    standard deviation is sigma times each channel's own standard deviation."""
+    values = np.asarray(values, dtype=float)
+    noise = np.random.default_rng(seed).standard_normal(values.shape)
+    return values + sigma * values.std(axis=0) * noise
+
+
 def window_matrix_per_slot(values: np.ndarray, L: int) -> np.ndarray:
     """Oracle for ``embedding._window_matrix``: each of the nL window rows is
     copied on its own, row j * L + lag holding channel j at that lag."""
