@@ -123,13 +123,19 @@ def _check_budget(counts: Iterable[int], windows: int = 1) -> None:
     """Raise FeatureBudgetError if ``windows`` times the last of ``counts``, which rise
     to a window's entry count, exceeds the budget; the first count over decides."""
     budget = DEFAULT_FEATURE_BUDGET
-    if windows and any(count * windows > budget for count in counts):
+    if any(count * windows > budget for count in counts):
         raise FeatureBudgetError(f"expansion needs more than the budget of {budget} entries")
 
 
 def _slot_counts(m: int, p: int) -> Iterable[int]:
     """Partial sums of 1 + m + ... + m^p, rising to d_p(m), at least doubling if m > 1."""
     return [p + 1] if m == 1 else accumulate(m**k for k in range(p + 1))
+
+
+def _monomial_counts(m: int, p: int) -> Iterable[int]:
+    """C(m + p - k + i, i), i = 0..k, k = min(m, p), at least doubling up to C(m + p, p)."""
+    k = min(m, p)
+    return accumulate(range(1, k + 1), lambda c, i: c * (m + p - k + i) // i, initial=1)
 
 
 def eth_map(x: np.ndarray, p: int) -> np.ndarray:
@@ -173,15 +179,13 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     and ``compress`` of finite Kronecker features gives these rows back bit for
     bit (a group that overflows may compress to NaN, inf - inf).
     Raises ValueError if p < 1, and FeatureBudgetError if C(m+p, p) times the
-    number of windows exceeds ``DEFAULT_FEATURE_BUDGET``.
+    number of windows, at least one for the index tables, exceeds the budget.
     """
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
     X = np.asarray(X, dtype=float)
     m = X.shape[0]
-    k = min(m, p)  # C(m + p - k + i, i), i = 0..k, rise at least twofold to C(m + p, p)
-    _check_budget(accumulate(range(1, k + 1), lambda c, i: c * (m + p - k + i) // i,
-                             initial=1), math.prod(X.shape[1:]))
+    _check_budget(_monomial_counts(m, p), max(math.prod(X.shape[1:]), 1))
     parts = [X]
     for q in range(2, p + 1):
         prefix, last = _prefix_tables(m, q)
@@ -216,11 +220,11 @@ def check_model_size(m: int, p: int) -> None:
 
     The model's coupling matrix is m x C(m+p, p), and evaluating its features
     builds two index tables per order, fewer than 2 C(m+p, p) entries in
-    all; (m + p) C(m+p, p) bounds both. C(m+p, p) >= m + p, so (m + p)**2 is
-    tested first and math.comb only ever sees small arguments.
+    all; (m + p) C(m+p, p) bounds both. It is checked on the way up through
+    :func:`_monomial_counts`, so a huge m or p costs a few small products.
     """
     budget = DEFAULT_FEATURE_BUDGET
-    if (m + p) ** 2 > budget or (m + p) * math.comb(m + p, p) > budget:
+    if any((m + p) * count > budget for count in _monomial_counts(m, p)):
         raise FeatureBudgetError(
             f"an order-{p} model on {m} window entries exceeds the budget of "
             f"{budget} entries"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -234,6 +235,57 @@ class TestMonomialFeatures:
         monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho - 1)
         with pytest.raises(FeatureBudgetError):
             rk.monomial_features(X[:, 0], 3)
+
+    def test_zero_windows_are_held_to_the_budget(self):
+        # Zero windows skipped the budget, and order 5000 built its index
+        # tables order by order without end.
+        start = time.perf_counter()
+        with pytest.raises(FeatureBudgetError) as err:
+            rk.monomial_features(np.ones((3, 0)), 5000)
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == "expansion needs more than the budget of 10000000 entries"
+        assert rk.monomial_features(np.ones((3, 0)), 40).shape == (math.comb(43, 40), 0)
+
+    def test_zero_windows_cost_one_window(self, monkeypatch):
+        rho = math.comb(3 + 4, 4)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho)
+        assert rk.monomial_features(np.ones((3, 0)), 4).shape == (rho, 0)
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", rho - 1)
+        with pytest.raises(FeatureBudgetError):
+            rk.monomial_features(np.ones((3, 0)), 4)
+
+
+def _refuses(m, p):
+    try:
+        embedding.check_model_size(m, p)
+    except FeatureBudgetError as err:
+        assert str(err) == (f"an order-{p} model on {m} window entries exceeds the "
+                            f"budget of {embedding.DEFAULT_FEATURE_BUDGET} entries")
+        return True
+    return False
+
+
+def _refused_in_closed_form(m, p):
+    """Oracle: the coupling matrix and index tables, (m + p) C(m+p, p) entries,
+    exceed the budget; the square, tested first, keeps math.comb small."""
+    budget = embedding.DEFAULT_FEATURE_BUDGET
+    return (m + p) ** 2 > budget or (m + p) * math.comb(m + p, p) > budget
+
+
+class TestCheckModelSize:
+    @pytest.mark.parametrize("budget", [embedding.DEFAULT_FEATURE_BUDGET, 2000, 10**15])
+    def test_matches_the_closed_form(self, monkeypatch, budget):
+        monkeypatch.setattr(embedding, "DEFAULT_FEATURE_BUDGET", budget)
+        for m in range(1, 41):
+            for p in range(1, 41):
+                assert _refuses(m, p) == _refused_in_closed_form(m, p), (m, p)
+
+    @pytest.mark.parametrize("m", [10**9, 10**18])
+    @pytest.mark.parametrize("p", [10**9, 10**18])
+    def test_huge_sizes_are_refused_quickly(self, m, p):
+        start = time.perf_counter()
+        assert _refuses(m, p) and _refused_in_closed_form(m, p)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestBuildDataMatrices:

@@ -1,6 +1,7 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -232,6 +233,13 @@ class TestTrain:
         assert "rng=" not in out
         model = rk.load_model(model_path)
         assert model.L == 2 and model.p == 2
+
+    def test_max_iter_one_is_recorded(self, orbit_csv, tmp_path):
+        # The smallest cap the solver accepts trains and is written to the model file.
+        model_path = tmp_path / "m.json"
+        assert run_cli("train", "--input", str(orbit_csv), "--lag", "2", "--max-iter", "1",
+                       "--out", str(model_path)) == 0
+        assert json.loads(model_path.read_text())["diagnostics"]["max_iter"] == 1
 
     def test_nu_flag_is_gone(self, orbit_csv, tmp_path):
         assert run_cli("train", "--input", str(orbit_csv), "--lag", "2", "--nu", "1",
@@ -757,6 +765,10 @@ BOUNDARY_CASES = [
     ("missing-truth", _FORECAST + ["--truth", "{missing}/truth.csv", "--out", "{out}"],
      "No such file or directory"),
     ("epsilon-nan", _TRAIN + ["--epsilon", "nan", "--out", "{out}"], "epsilon"),
+    ("train-max-iter-zero", _TRAIN + ["--max-iter", "0", "--out", "{out}"],
+     "error: max_iter must be >= 1, got 0"),
+    ("exposure-max-iter-zero", _EXPOSURE + ["--max-iter", "0", "--out", "{out}"],
+     "error: max_iter must be >= 1, got 0"),
     ("guard-factor-nan", _FORECAST + ["--guard-factor", "nan", "--out", "{out}"],
      "guard_factor"),
     ("guard-factor-zero", _FORECAST + ["--guard-factor", "0", "--out", "{out}"],
