@@ -10,7 +10,6 @@ from .compression import (
     CompressionMatrix,
     compress,
     compression_matrix,
-    compression_matrix_exact,
     decompress,
 )
 from .embedding import (
@@ -28,7 +27,6 @@ from .errors import (
     DegenerateChannelError,
     DimensionMismatchError,
     FeatureBudgetError,
-    GroupingDegenerateError,
     ModelFormatError,
     ModelVersionError,
     NumericBlowupError,

@@ -13,6 +13,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -218,6 +219,20 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_exposure(args) -> int:
+    out = Path(args.out)
+    tables = {
+        "--out": args.out,
+        "--adjacency-out": args.adjacency_out or str(out.with_name(out.stem + "_adjacency.csv")),
+        "--fitted-out": args.fitted_out or str(out.with_name(out.stem + "_fitted.csv")),
+    }
+    # One file given two tables would hold only the last one written.
+    flag_of: dict[str, str] = {}
+    for flag, path in tables.items():
+        first = flag_of.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ValueError(f"{first} and {flag} both name {path}; give each table its own file")
+    adjacency_path, fitted_path = tables["--adjacency-out"], tables["--fitted-out"]
+
     remit = read_timeseries_csv(args.remittances)
     deposits = read_timeseries_csv(args.deposits)
     if remit.T != deposits.T:
@@ -244,17 +259,11 @@ def cmd_exposure(args) -> int:
         for j in range(panel.institutions)
     ]
 
-    adjacency_path = args.adjacency_out or str(
-        Path(args.out).with_name(Path(args.out).stem + "_adjacency.csv")
-    )
     adjacency_rows = [
         [int(i) + 1, model.terms[int(j)], float(model.M[i, j])]
         for i, j in zip(*np.nonzero(model.M))
     ]
 
-    fitted_path = args.fitted_out or str(
-        Path(args.out).with_name(Path(args.out).stem + "_fitted.csv")
-    )
     fitted_header = (
         ["quarter"]
         + [f"obs_{label}" for label in deposits.labels]

@@ -26,14 +26,6 @@ class FeatureBudgetError(RRCError):
     """A polynomial feature expansion would exceed the configured budget."""
 
 
-class GroupingDegenerateError(RRCError):
-    """The compression probe does not separate the monomial classes.
-
-    Signals that the tolerance is too large for the drawn sample: two
-    classes' probe values lie within it.
-    """
-
-
 class NumericBlowupError(RRCError):
     """An autoregressive rollout diverged past the configured guard."""
 

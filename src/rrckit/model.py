@@ -1,9 +1,10 @@
 """Training, evaluation, rollout, and persistence of regressive reservoir computers.
 
 A trained model evaluates the distinct polynomial monomials of a delay
-window (the Kronecker features averaged by the exact compression matrix) and
-maps them through a sparse output-coupling matrix; a 0/1 selector then
-extracts each channel's newest predicted sample from the dilated output.
+window (the Kronecker features averaged by ``RRCModel.R``, whose groups are
+the slots that gather each monomial) and maps them through a sparse
+output-coupling matrix; the stride L - 1 :: L then takes each channel's
+newest predicted sample from the dilated output.
 Iterating prediction over a buffer of samples simulates the system forward.
 """
 
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .compression import CompressionMatrix, compression_matrix_exact
+from .compression import CompressionMatrix, compression_matrix
 from .embedding import EmbeddingConfig, TimeSeries, check_model_size
 from .embedding import _window_matrix, monomial_features, paired_windows
 from .errors import (
@@ -99,13 +100,8 @@ class RRCModel:
 
     @property
     def R(self) -> CompressionMatrix:
-        """The compression matrix the features are averaged by: the exact partition."""
-        return compression_matrix_exact(self.n, self.L, self.p)
-
-    @property
-    def selector_indices(self) -> np.ndarray:
-        """0-based window-slot index selected for each channel: its newest, every L-th."""
-        return np.arange(self.L - 1, self.n * self.L, self.L)
+        """The compression matrix the features are averaged by."""
+        return compression_matrix(self.n, self.L, self.p)
 
 
 def train_rrc(

@@ -822,6 +822,12 @@ BOUNDARY_CASES = [
     ("exposure-fitted-out-in-missing-dir",
      _EXPOSURE + ["--out", "{out}", "--fitted-out", "{missing}/f.csv"],
      "No such file or directory"),
+    # Two tables in one file would leave only the last one written.
+    ("exposure-adjacency-out-is-out", _EXPOSURE + ["--out", "{out}", "--adjacency-out", "{out}"],
+     "--out and --adjacency-out both name"),
+    ("exposure-fitted-out-is-out",
+     _EXPOSURE + ["--out", "{out}", "--fitted-out", "{missing}/../outputs/out"],
+     "--out and --fitted-out both name"),
 ]
 
 

@@ -120,7 +120,7 @@ class TestDistinctMonomialPath:
     def test_transform_equals_compressed_kronecker_map(self):
         orbit = bounded_orbit(np.random.default_rng(59), 3, 80)
         model = self.fit(orbit, seed=0)
-        R = rk.compression_matrix_exact(3, 2, 3)
+        R = rk.compression_matrix(3, 2, 3)
         assert model.R == R
         ts = rk.TimeSeries(orbit)
         for t in (2, 31, 80):
@@ -134,8 +134,8 @@ class TestDistinctMonomialPath:
             raise AssertionError("paper-definition oracle called on the fit path")
 
         for module in (rk, rk.compression, rk.embedding, rk.model):
-            for name in ("compress", "compression_matrix", "compression_matrix_exact",
-                         "eth_map", "build_data_matrices", "_monomial_of_slot"):
+            for name in ("compress", "compression_matrix", "eth_map", "build_data_matrices",
+                         "_monomial_of_slot"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, forbidden)
         svd_calls = []
@@ -281,7 +281,7 @@ class TestShiftRows:
         )
         residual = model.W_hat @ G - H1
         diag = model.diagnostics
-        shift = [i for i in range(n * L) if i not in model.selector_indices]
+        shift = [i for i in range(n * L) if i % L != L - 1]
         assert len(shift) == n * (L - 1)
         for i in shift:
             assert np.flatnonzero(model.W_hat[i]).tolist() == [i + 1]
@@ -394,7 +394,7 @@ def test_column_residuals_are_the_rows_of_residual_fro(chaotic_orbit, fit):
     assert math.sqrt(np.sum(residuals ** 2)) == pytest.approx(diag.residual_fro, rel=1e-12)
     assert np.all(residuals <= np.array(diag.column_bounds))
     if fit != "target":  # an autoregressive fit's shift rows are exact
-        shift = [i for i in range(9) if i not in model.selector_indices]
+        shift = [i for i in range(9) if i % 3 != 2]
         assert len(shift) == 6 and all(residuals[i] == 0.0 for i in shift)
 
 
@@ -504,7 +504,6 @@ class TestSelector:
         model = rk.train_autoregressive(
             ts, rk.EmbeddingConfig(L=3, p=1), rk.SolverConfig(delta=1e-8), seed=2
         )
-        np.testing.assert_array_equal(model.selector_indices, [2, 5])
         window = rk.delay_embed(rk.TimeSeries(ts.values[:-1]), 3, 10)
         y_dilated, y_sel = rk.transform(model, window)
         np.testing.assert_array_equal(y_sel, y_dilated[[2, 5]])
@@ -623,7 +622,7 @@ class TestSparseVsDenseEstimate:
         n, L, p = 3, 1, 2
         orbit = bounded_orbit(rng, n, 50)
         x = rk.TimeSeries(orbit)
-        R = rk.compression_matrix(n, L, p, seed=6)
+        R = rk.compression_matrix(n, L, p)
         W_true = rng.standard_normal((n, R.rows))
         targets = np.array(
             [W_true @ rk.compress(R, rk.eth_map(row, p)) for row in orbit]
@@ -829,7 +828,6 @@ def test_kronecker_slot_table_is_held_to_the_budget(monkeypatch):
     before a slot table is built. At a budget of 2000, nL = 2 and p = 12
     give 14 C(14, 12) = 1274 but d_12(2) = 8191."""
     monkeypatch.setattr(rk.embedding, "DEFAULT_FEATURE_BUDGET", 2000)
-    rk.compression._multiset_classes.cache_clear()
     rk.embedding._monomial_of_slot.cache_clear()
     rk.embedding.check_model_size(2, 12)
     model, _ = TestPersistence().make_model()

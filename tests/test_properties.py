@@ -153,7 +153,7 @@ def test_compress_inverts_decompress(data):
     """Broadcasting w over its groups and averaging them again returns w bit for
     bit, signed zeros and the largest and smallest floats included."""
     n, L, p = (data.draw(st.integers(1, 3)) for _ in range(3))
-    R = rk.compression_matrix_exact(n, L, p)
+    R = rk.compression_matrix(n, L, p)
     w = data.draw(hnp.arrays(np.float64, (R.rows,), elements=finite))
     assert rk.compress(R, rk.decompress(R, w)).tobytes() == w.tobytes()
 
@@ -175,7 +175,7 @@ def test_eth_map_stacks_the_kronecker_powers(x, p):
 def test_monomial_features_are_the_distinct_kronecker_entries(x, p):
     """The prefix-product recurrence gives each group's Kronecker entry bit for
     bit, through overflow to inf and NaN products as well."""
-    groups = rk.compression_matrix_exact(1, x.size, p).groups
+    groups = rk.compression_matrix(1, x.size, p).groups
     with np.errstate(over="ignore", invalid="ignore"):
         stacked = np.concatenate([kron_power(x, q) for q in range(1, p + 1)] + [[1.0]])
         first = stacked[[g[0] for g in groups]]
