@@ -13,6 +13,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -109,6 +110,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_INPUT_FLAGS = ("--input", "--target", "--model", "--seed-data", "--truth", "--remittances",
+                "--deposits")
+
+
+def _check_outputs(args, outputs: dict[str, str]) -> None:
+    """Raise ValueError naming both flags if an output path, after os.path.realpath,
+    names one of the command's inputs or another of its outputs: writing it
+    would destroy that file's contents."""
+    flag_of: dict[str, str] = {}
+    for flag in _INPUT_FLAGS:
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is not None:
+            flag_of.setdefault(os.path.realpath(path), flag)
+    for flag, path in outputs.items():
+        first = flag_of.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise ValueError(f"{first} and {flag} both name {path}; "
+                             "an output needs a file of its own")
+
+
 def cmd_simulate(args) -> int:
     if args.params is not None:
         if args.ic is None:
@@ -133,6 +154,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_outputs(args, {"--out": args.out})
     if not 0.0 < args.train_frac <= 1.0:
         raise ValueError("--train-frac must lie in (0, 1]")
     cfg = EmbeddingConfig(L=args.lag, p=args.order)
@@ -175,6 +197,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_outputs(args, {"--out": args.out})
     model = load_model(args.model)
     seed_data = read_timeseries_csv(args.seed_data)
     if seed_data.T < model.L:
@@ -225,12 +248,7 @@ def cmd_exposure(args) -> int:
         "--adjacency-out": args.adjacency_out or str(out.with_name(out.stem + "_adjacency.csv")),
         "--fitted-out": args.fitted_out or str(out.with_name(out.stem + "_fitted.csv")),
     }
-    # One file given two tables would hold only the last one written.
-    flag_of: dict[str, str] = {}
-    for flag, path in tables.items():
-        first = flag_of.setdefault(os.path.realpath(path), flag)
-        if first != flag:
-            raise ValueError(f"{first} and {flag} both name {path}; give each table its own file")
+    _check_outputs(args, tables)
     adjacency_path, fitted_path = tables["--adjacency-out"], tables["--fitted-out"]
 
     remit = read_timeseries_csv(args.remittances)
@@ -326,10 +344,13 @@ _COMMANDS = {
 }
 
 
+# One parser per process: parsing leaves no state in it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage errors, 0 on --help
         return int(exc.code or 0)
     try:

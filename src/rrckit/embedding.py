@@ -188,10 +188,16 @@ def monomial_features(X: np.ndarray, p: int) -> np.ndarray:
     _check_budget(_monomial_counts(m, p), max(math.prod(X.shape[1:]), 1))
     parts = [X]
     for q in range(2, p + 1):
-        prefix, last = _prefix_tables(m, q)
-        parts.append(parts[-1][prefix] * X[last])
+        parts.append(_next_order(parts[-1], X, q))
     parts.append(np.ones((1,) + X.shape[1:]))
     return np.concatenate(parts)
+
+
+def _next_order(prev: np.ndarray, X: np.ndarray, q: int) -> np.ndarray:
+    """Order-q monomials of X from order q-1's ``prev``: one gather, one multiply
+    (the operator, which lets numpy reuse a batch's temporary for the product)."""
+    prefix, last = _prefix_tables(X.shape[0], q)
+    return prev[prefix] * X[last]
 
 
 @lru_cache(maxsize=64)

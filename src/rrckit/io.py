@@ -31,7 +31,8 @@ def _default_times(ts: TimeSeries) -> np.ndarray:
     return np.arange(ts.T, dtype=float)
 
 
-# Rows formatted per block, so memory stays flat in the series length.
+# Rows formatted per block, so memory stays flat in the series length: a
+# block of a few channels is about 80 KB of text.
 _WRITE_BLOCK_ROWS = 1024
 
 
@@ -46,7 +47,7 @@ def write_timeseries_csv(path: str | Path, ts: TimeSeries) -> None:
         for start in range(0, ts.T, _WRITE_BLOCK_ROWS):
             stop = start + _WRITE_BLOCK_ROWS
             block = np.column_stack((times[start:stop], ts.values[start:stop]))
-            handle.writelines(row_format % tuple(row) for row in block.tolist())
+            handle.write(row_format * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:

@@ -5,7 +5,8 @@ window (the Kronecker features averaged by ``RRCModel.R``, whose groups are
 the slots that gather each monomial) and maps them through a sparse
 output-coupling matrix; the stride L - 1 :: L then takes each channel's
 newest predicted sample from the dilated output.
-Iterating prediction over a buffer of samples simulates the system forward.
+Iterating prediction over a buffer of samples, refilling one feature vector in
+place per step, simulates the system forward.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .compression import CompressionMatrix, compression_matrix
 from .embedding import EmbeddingConfig, TimeSeries, check_model_size
-from .embedding import _window_matrix, monomial_features, paired_windows
+from .embedding import _next_order, _window_matrix, monomial_features, paired_windows
 from .errors import (
     DimensionMismatchError,
     FeatureBudgetError,
@@ -268,8 +269,11 @@ def forecast(
     """Autoregressive rollout: transform the newest window, append its prediction.
 
     One buffer holds the seed window's L samples, then one predicted row per
-    step. Step s (0-based) transforms the window of buffer rows s .. s + L - 1,
-    laid out by the package's window rule, and writes row s + L.
+    step. Step s (0-based) copies the window of buffer rows s .. s + L - 1,
+    laid out by the package's window rule, into one feature vector f laid out
+    as :func:`monomial_features` lays it out, fills f's higher orders in place,
+    and writes the stride L - 1 :: L of W_hat @ f to row s + L: bit for bit
+    what :func:`transform` of that window selects.
 
     Parameters
     ----------
@@ -302,10 +306,17 @@ def forecast(
     centre, guard = _rollout_guard(model, guard_factor)
     samples = np.empty((L + horizon, n))
     samples[:L] = window.reshape(n, L).T
+    m, p = n * L, model.p
+    features = np.ones(math.comb(m + p, p))  # the last entry stays the constant 1
+    orders = np.split(features[:-1], np.cumsum([math.comb(m + q - 1, q) for q in range(1, p)]))
+    blocks = orders[0].reshape(n, L)
     for s in range(horizon):
-        _, y_sel = transform(model, samples[s : s + L].T)
+        blocks[...] = samples[s : s + L].T
+        for q in range(2, p + 1):
+            orders[q - 1][...] = _next_order(orders[q - 2], orders[0], q)
+        y_sel = (model.W_hat @ features)[L - 1 :: L]
         worst = float(np.max(np.abs(y_sel - centre)))
-        if not np.isfinite(worst) or worst > guard:
+        if not worst <= guard:  # also true for NaN
             raise NumericBlowupError(step=s + 1, value=worst, guard=guard)
         samples[s + L] = y_sel
     return TimeSeries(samples[L:])

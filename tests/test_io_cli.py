@@ -1,6 +1,7 @@
 """CSV formats and the command-line surface: flags, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import rrckit as rk
+from rrckit import cli
 from rrckit.cli import main
 from rrckit.io import read_timeseries_csv, write_timeseries_csv
 
@@ -845,6 +847,72 @@ def test_boundary_input_fails_cleanly(boundary_inputs, tmp_path, capsys, argv, f
     assert err.startswith("error: ") and err.count("\n") == 1
     assert fragment in err
     assert not list(outputs.iterdir())  # a failing command writes no output file
+
+
+# (case, argv, the two flags the error names). "{x}" is a copy of input x in a
+# fresh directory; "{data}" is that directory.
+OVERWRITE_CASES = [
+    ("train-out-is-input", ["train", "--input", "{orbit}", "--lag", "2", "--out", "{orbit}"],
+     "--input and --out"),
+    ("train-out-is-target", ["train", "--input", "{orbit}", "--target", "{target}", "--lag", "2",
+                             "--out", "{target}"], "--target and --out"),
+    ("forecast-out-is-model", _FORECAST + ["--out", "{model}"], "--model and --out"),
+    ("forecast-out-is-seed-data", _FORECAST + ["--out", "{data}/../data/orbit.csv"],
+     "--seed-data and --out"),
+    ("forecast-out-is-truth", _FORECAST + ["--truth", "{target}", "--out", "{target}"],
+     "--truth and --out"),
+    ("exposure-out-is-remittances", _EXPOSURE + ["--out", "{remit}"], "--remittances and --out"),
+    ("exposure-adjacency-out-is-deposits",
+     _EXPOSURE + ["--out", "{data}/r.csv", "--adjacency-out", "{deposits}"],
+     "--deposits and --adjacency-out"),
+    # The default --fitted-out of --out x.csv is x_fitted.csv.
+    ("exposure-default-fitted-out-is-remittances",
+     ["exposure", "--remittances", "{x_fitted}", "--deposits", "{deposits}", "--out",
+      "{data}/x.csv"], "--remittances and --fitted-out"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flags", [case[1:] for case in OVERWRITE_CASES],
+    ids=[case[0] for case in OVERWRITE_CASES],
+)
+def test_output_naming_an_input_is_refused(boundary_inputs, tmp_path, capsys, argv, flags):
+    data = tmp_path / "data"
+    data.mkdir()
+    sources = {"orbit": "orbit", "target": "orbit", "model": "model", "remit": "remit",
+               "deposits": "deposits", "x_fitted": "remit"}
+    paths = {"data": data}
+    for name, source in sources.items():
+        paths[name] = data / (name + boundary_inputs[source].suffix)
+        paths[name].write_bytes(boundary_inputs[source].read_bytes())
+    before = {f.name: hashlib.md5(f.read_bytes()).hexdigest() for f in data.iterdir()}
+    assert run_cli(*[arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags} both name ") and err.count("\n") == 1
+    assert {f.name: hashlib.md5(f.read_bytes()).hexdigest() for f in data.iterdir()} == before
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, capsys):
+    """main parses with one parser per process; a usage error, --help and a
+    valid command leave nothing in it that changes the next call."""
+    calls = [["simulate", "--samples", "x", "--out", "o.csv"], ["--help"],
+             ["simulate", "--regime", "periodic", "--samples", "200", "--t-end", "4",
+              "--out", str(tmp_path / "o.csv")]]
+
+    def outcomes(fresh):
+        cli._parser.cache_clear()
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            results.append((main(argv), *capsys.readouterr()))
+        return results
+
+    reused = outcomes(fresh=False)
+    assert cli._parser.cache_info()[:2] == (len(calls) - 1, 1)  # hits, misses
+    fresh = outcomes(fresh=True)
+    assert [result[0] for result in fresh] == [2, 0, 0]
+    assert reused == fresh
 
 
 # numpy's MemoryError names the size; Python's own carries no message.

@@ -4,8 +4,12 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -478,23 +482,15 @@ def test_forecast_rows_equal_iterated_transform(chaotic_orbit, readme_p2_model):
             assert row.tobytes() == selected.tobytes()
 
 
-def test_forecast_transforms_the_windows_of_its_sample_buffer(
-        chaotic_orbit, readme_p2_model, monkeypatch):
-    """Step k transforms the window of the seed samples followed by the k
-    rows predicted so far, as delay_embed lays it out."""
+def test_forecast_transforms_the_windows_of_its_sample_buffer(chaotic_orbit, readme_p2_model):
+    """Step k's prediction is, bit for bit, transform of the window of the seed
+    samples followed by the k rows predicted so far, as delay_embed lays it out."""
     model, end = readme_p2_model, int(HELD_OUT_ENDS[2])
-    windows, real_transform = [], rk.model.transform
-
-    def recording(model, window):
-        windows.append(np.asarray(window, dtype=float).ravel().copy())
-        return real_transform(model, window)
-
-    monkeypatch.setattr(rk.model, "transform", recording)
     rollout = rk.forecast(model, rk.delay_embed(chaotic_orbit, model.L, end), 200).values
     samples = rk.TimeSeries(np.vstack([chaotic_orbit.values[end - model.L : end], rollout]))
-    assert len(windows) == 200
-    for k, window in enumerate(windows):
-        assert window.tobytes() == rk.delay_embed(samples, model.L, model.L + k).tobytes()
+    for k, row in enumerate(rollout):
+        _, selected = rk.transform(model, rk.delay_embed(samples, model.L, model.L + k))
+        assert row.tobytes() == selected.tobytes()
 
 
 class TestSelector:
@@ -576,8 +572,32 @@ class TestForecast:
         model = rk.train_autoregressive(ts, LINEAR_CFG, TIGHT, seed=0)
         with pytest.raises(NumericBlowupError) as err:
             rk.forecast(model, np.array([1.0]), 200)
-        assert err.value.step > 0
-        assert "step" in str(err.value)
+        # The fitted ratio is not exactly 2, so the value is not a power of two.
+        assert (err.value.step, err.value.value) == (38, 274877775871.77972)
+        assert "step 38" in str(err.value)
+
+    def test_readme_p3_model_trips_the_guard_at_step_6(self):
+        """The README's p=3 model diverges when rolled out from the end of its
+        training split. Its coupling depends on the BLAS thread count, so the
+        trip is pinned in a process with one OpenBLAS thread."""
+        script = (
+            "import rrckit as rk\n"
+            "orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=120.0, samples=12000))\n"
+            "train = rk.TimeSeries(orbit.values[:6000], dt=orbit.dt)\n"
+            "model = rk.train_autoregressive(train, rk.EmbeddingConfig(L=3, p=3),\n"
+            "    rk.SolverConfig(delta=1e-8, epsilon=1e-8, max_iter=50), seed=42)\n"
+            "try:\n"
+            "    rk.forecast(model, rk.delay_embed(train, 3, 6000), 1000)\n"
+            "except rk.NumericBlowupError as err:\n"
+            "    print(err.step, repr(err.value), repr(err.guard))\n"
+        )
+        src = str(Path(rk.__file__).resolve().parents[1])
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "6 398330357624.237 4259328.57405166\n"
 
     def test_horizon_validated(self):
         model, _ = geometric_model()
