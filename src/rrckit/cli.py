@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--ic", help="x0,y0,z0 initial conditions (with --params)")
     sim.add_argument("--samples", type=int, default=12000)
     sim.add_argument("--t-end", type=float, default=120.0)
-    sim.add_argument("--rtol", type=float, default=1e-9)
-    sim.add_argument("--atol", type=float, default=1e-11)
     sim.add_argument("--out", required=True)
 
     tr = sub.add_parser("train", help="identify a model from CSV data")
@@ -83,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("--out", required=True)
 
-    fc = sub.add_parser("forecast", help="roll a trained model forward")
+    fc = sub.add_parser("forecast", help="roll a trained model forward, feeding each "
+                        "prediction back as the next sample (a --target model too)")
     fc.add_argument("--model", required=True)
     fc.add_argument("--seed-data", required=True)
     fc.add_argument("--horizon", type=int, required=True)
     fc.add_argument("--truth", help="validation CSV for per-channel NRMSE")
-    fc.add_argument("--guard-factor", type=float, default=1e6)
     fc.add_argument("--out", required=True)
 
     ex = sub.add_parser("exposure", help="fit deposits on remittances and rank exposures")
@@ -143,9 +141,7 @@ def cmd_simulate(args) -> int:
         params = PERIODIC
     else:
         raise ValueError("choose --regime or give explicit --params/--ic")
-    grid = SimulationGrid(
-        t_end=args.t_end, samples=args.samples, rtol=args.rtol, atol=args.atol
-    )
+    grid = SimulationGrid(t_end=args.t_end, samples=args.samples)
     series = integrate(params, grid)
     write_timeseries_csv(args.out, series)
     print(f"rows={series.T}")
@@ -212,7 +208,7 @@ def cmd_forecast(args) -> int:
     if truth is not None and truth.n != model.n:
         raise ValueError(f"truth has {truth.n} channels, model expects {model.n}")
     window = delay_embed(seed_data, model.L, seed_data.T)
-    predicted = forecast(model, window, args.horizon, guard_factor=args.guard_factor)
+    predicted = forecast(model, window, args.horizon)
     if truth is not None:
         steps = min(args.horizon, truth.T)
         try:
@@ -223,7 +219,7 @@ def cmd_forecast(args) -> int:
                 f"first {steps} rows"
             ) from exc
 
-    if seed_data.dt is not None and seed_data.times is not None:
+    if seed_data.dt is not None:
         t0 = float(seed_data.times[-1])
         times = t0 + (np.arange(args.horizon) + 1) * seed_data.dt
     else:

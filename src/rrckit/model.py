@@ -44,6 +44,7 @@ __all__ = [
 
 SCHEMA_VERSION = 2
 _FORMAT_MARKER = "rrc-model"
+_GUARD_FACTOR = 1e6  # a rollout stops this many widest training ranges from the centre
 _DOC_KEYS = {"format", "schema_version", "n", "L", "p", "selector_offset", "W_hat",
              "diagnostics"}
 _W_HAT_KEYS = {"rows", "cols", "triplets"}
@@ -250,21 +251,20 @@ def transform(model: RRCModel, window: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return y_dilated, y_dilated[model.L - 1 :: model.L]
 
 
-def _rollout_guard(model: RRCModel, guard_factor: float) -> tuple[np.ndarray, float]:
-    """Each channel's training centre, and guard_factor times the widest training range."""
+def _rollout_guard(model: RRCModel) -> tuple[np.ndarray, float]:
+    """Each channel's training centre, and _GUARD_FACTOR times the widest training range."""
     lo = np.asarray(model.diagnostics.train_min)
     hi = np.asarray(model.diagnostics.train_max)
     scale = float(np.max(hi - lo))
     if scale <= 0.0:
         scale = max(1.0, float(np.max(np.abs(np.concatenate([lo, hi])))))
-    return lo / 2 + hi / 2, guard_factor * scale
+    return lo / 2 + hi / 2, _GUARD_FACTOR * scale
 
 
 def forecast(
     model: RRCModel,
     seed_window: np.ndarray,
     horizon: int,
-    guard_factor: float = 1e6,
 ) -> TimeSeries:
     """Autoregressive rollout: transform the newest window, append its prediction.
 
@@ -275,18 +275,21 @@ def forecast(
     and writes the stride L - 1 :: L of W_hat @ f to row s + L: bit for bit
     what :func:`transform` of that window selects.
 
+    Each prediction becomes the next sample whatever the fit, so a
+    :func:`train_rrc` model of another target (y = 2x, say) is iterated as
+    the map it learned.
+
+    A predicted entry farther from the centre of its channel's training range,
+    (train_min + train_max) / 2, than 1e6 times the widest channel range
+    aborts the rollout. When every range is 0, the largest training magnitude,
+    at least 1, takes the range's place.
+
     Parameters
     ----------
     seed_window : (nL,) array
         Starting delay window (channel-major, oldest first per block).
     horizon : int
         Number of steps to simulate.
-    guard_factor : float
-        Divergence guard, > 0; a predicted entry farther from the centre of its
-        channel's training range, (train_min + train_max) / 2, than
-        guard_factor times the widest channel range aborts the rollout. When
-        every range is 0, the largest training magnitude, at least 1, takes
-        the range's place.
 
     Raises
     ------
@@ -295,15 +298,13 @@ def forecast(
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not guard_factor > 0:
-        raise ValueError(f"guard_factor must be > 0, got {guard_factor}")
     window = np.asarray(seed_window, dtype=float).ravel()
     n, L = model.n, model.L
     if window.size != n * L:
         raise DimensionMismatchError(
             f"seed window has {window.size} entries, expected {n * L}"
         )
-    centre, guard = _rollout_guard(model, guard_factor)
+    centre, guard = _rollout_guard(model)
     samples = np.empty((L + horizon, n))
     samples[:L] = window.reshape(n, L).T
     m, p = n * L, model.p

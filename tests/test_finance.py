@@ -29,12 +29,12 @@ class TestRhs:
 
 class TestIntegrator:
     def test_exponential_endpoint(self):
-        grid = rk.SimulationGrid(t_end=1.0, samples=11, rtol=1e-9, atol=1e-11)
+        grid = rk.SimulationGrid(t_end=1.0, samples=11)
         vals = integrate_ode(lambda t, y: [-v for v in y], np.array([1.0]), grid)
         assert abs(vals[-1, 0] - math.exp(-1.0)) <= 1e-8
 
     def test_dense_output_interior(self):
-        grid = rk.SimulationGrid(t_end=1.0, samples=21, rtol=1e-10, atol=1e-12)
+        grid = rk.SimulationGrid(t_end=1.0, samples=21)
         vals = integrate_ode(lambda t, y: [-v for v in y], np.array([1.0]), grid)
         ts = uniform_grid(1.0, 21)
         errs = np.abs(vals[:, 0] - np.exp(-ts))
@@ -90,16 +90,8 @@ class TestIntegrator:
             rk.SimulationGrid(t_end=0.0, samples=10)
         with pytest.raises(ValueError):
             rk.SimulationGrid(t_end=1.0, samples=1)
-        with pytest.raises(ValueError):
-            rk.SimulationGrid(t_end=1.0, samples=10, rtol=0.0)
         with pytest.raises(ValueError, match="y0"):
             integrate_ode(lambda t, y: [], [], rk.SimulationGrid(t_end=1.0, samples=10))
-
-    @pytest.mark.parametrize("field", ["rtol", "atol"])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_non_finite_tolerance_rejected(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            rk.SimulationGrid(t_end=1.0, samples=10, **{field: value})
 
     def test_rhs_gets_a_list_of_floats(self):
         seen = []

@@ -576,6 +576,26 @@ class TestForecast:
         assert (err.value.step, err.value.value) == (38, 274877775871.77972)
         assert "step 38" in str(err.value)
 
+    def test_target_fit_rolls_out_as_its_own_map(self):
+        """forecast feeds each prediction back as the next sample whatever the
+        fit's target. A train_rrc fit of y = 2x at L=1, p=1 is (to rounding)
+        W_hat = [2I | 0], so its rollout doubles the seed sample at every step
+        until the guard trips."""
+        orbit = rk.integrate(rk.CHAOTIC, rk.SimulationGrid(t_end=20.0, samples=400)).values
+        model = rk.train_rrc(rk.TimeSeries(orbit), rk.TimeSeries(2.0 * orbit), LINEAR_CFG,
+                             rk.SolverConfig(delta=1e-8, epsilon=1e-8))
+        doubling = np.hstack([2.0 * np.eye(3), np.zeros((3, 1))])
+        assert np.array_equal(model.W_hat != 0, doubling != 0)
+        np.testing.assert_allclose(model.W_hat, doubling, rtol=1e-15, atol=0)
+        seed = orbit[-1]
+        rollout = rk.forecast(model, seed, 19).values
+        np.testing.assert_allclose(rollout, seed * 2.0 ** np.arange(1, 20)[:, None],
+                                   rtol=1e-14, atol=0)
+        with pytest.raises(NumericBlowupError) as err:
+            rk.forecast(model, seed, 1000)
+        assert (err.value.step, err.value.value, err.value.guard) == (
+            20, 4447096.327906447, 4257368.364690495)
+
     def test_readme_p3_model_trips_the_guard_at_step_6(self):
         """The README's p=3 model diverges when rolled out from the end of its
         training split. Its coupling depends on the BLAS thread count, so the
@@ -603,14 +623,6 @@ class TestForecast:
         model, _ = geometric_model()
         with pytest.raises(ValueError):
             rk.forecast(model, np.array([1.0]), 0)
-
-    @pytest.mark.parametrize("guard_factor", [np.nan, 0.0, -1.0])
-    def test_guard_factor_validated(self, guard_factor):
-        # NaN would switch the guard off; 0 and -1 would stop every rollout at step 1
-        model, _ = geometric_model()
-        with pytest.raises(ValueError, match="guard_factor"):
-            rk.forecast(model, np.array([1.0]), 5, guard_factor=guard_factor)
-
 
     def test_seed_window_size_checked(self):
         model, _ = geometric_model()

@@ -229,12 +229,10 @@ def integrate_ode_per_sample(
     t = 0.0
     y = y0.copy()
     f = np.asarray(rhs(t, y.tolist()), dtype=float)
-    sc = grid.atol + grid.rtol * np.abs(y)
+    sc = finance._ATOL + finance._RTOL * np.abs(y)
     d0 = float(np.sqrt(np.mean((y / sc) ** 2)))
     d1 = float(np.sqrt(np.mean((f / sc) ** 2)))
     h = 0.01 * d0 / d1 if d1 > 1e-300 else grid.t_end / 1000.0
-    if not np.isfinite(h):
-        h = grid.t_end / 1000.0
     h = min(max(h, finance._STEP_FLOOR * grid.t_end * 10), grid.t_end)
 
     floor = finance._STEP_FLOOR * grid.t_end
@@ -248,7 +246,7 @@ def integrate_ode_per_sample(
         y_new, err = (
             np.asarray(v, dtype=float) for v in step(rhs, t, y.tolist(), h, f.tolist())
         )
-        sc = grid.atol + grid.rtol * np.maximum(np.abs(y), np.abs(y_new))
+        sc = finance._ATOL + finance._RTOL * np.maximum(np.abs(y), np.abs(y_new))
         err_norm = float(np.sqrt(np.mean((err / sc) ** 2)))
         if err_norm <= 1.0:
             t_new = grid.t_end if clipped else t + h
